@@ -1,8 +1,9 @@
 #!/usr/bin/env bash
 # Offline CI for the mcs workspace: feature-matrix release builds, the full
-# test suite with debug-checks active, clippy with warnings denied, a perf
-# smoke against the committed hot-path baselines, and an observability
-# smoke run. No network access required or attempted.
+# test suite with debug-checks active, clippy with warnings denied, the
+# repository benchmark's tests and a short benchmark run with a throughput
+# ceiling, and fault-matrix and observability smoke runs. No network access
+# required or attempted.
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -12,8 +13,8 @@ cd "$(dirname "$0")"
 # mcs-sim and mcs-bench alone exercises the benchmark configuration, where
 # the workspace dependency's `default-features = false` leaves the checks
 # out of the simulator entirely. The -p mcs-bench build runs last so the
-# bench_engine/obsreport binaries left in target/release are the
-# checks-off ones the smoke steps below should measure.
+# faultmatrix/obsreport binaries left in target/release are the checks-off
+# ones the smoke steps below run.
 cargo build --release --offline --workspace
 cargo build --release --offline -p mcs-sim --no-default-features
 cargo build --release --offline -p mcs-bench
@@ -24,10 +25,28 @@ cargo build --release --offline -p mcs-bench
 cargo test -q --offline --workspace
 cargo clippy --workspace --all-targets --offline -- -D warnings
 
-# Perf smoke: require random-sharing throughput to stay above half the
-# committed BENCH_hotpath.json figure. Generous on purpose — it catches
-# "the hot path fell off a cliff", not noise.
-./target/release/bench_engine --smoke BENCH_hotpath.json
+# The repository benchmark (perfbench/, declared in BENCHMARK.json): its own
+# tests, then a short run of every workload. The run's exit code gates the
+# recorded output digests (so experiment outputs stay bit-identical),
+# repetition determinism and the Stats identities.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+PERF_OUT=target/perfbench-smoke.txt
+cargo run --release --offline --quiet --manifest-path perfbench/Cargo.toml -- \
+  --workload all --seconds 2 | tee "$PERF_OUT"
+
+# Throughput ceiling: sharing_4p's rescaled wall_s must stay within 2x of
+# the recorded figure -- the old half-of-recorded throughput floor, not
+# loosened. 0.25 s is twice the ~0.125 s sharing_4p median recorded with
+# the benchmark (perfbench/README.md, "Steadiness"). Generous on purpose: it
+# catches "the hot path fell off a cliff", not noise.
+SHARING_4P_WALL_S_CEILING=0.25
+wall=$(tail -n 1 "$PERF_OUT" |
+  sed -n 's/.*"sharing_4p\.wall_s":{"value":\([0-9.eE+-]*\).*/\1/p')
+if ! awk -v w="$wall" -v c="$SHARING_4P_WALL_S_CEILING" \
+    'BEGIN { exit !(w != "" && w + 0 <= c + 0) }'; then
+  echo "ci.sh: sharing_4p wall_s '$wall' s over the ${SHARING_4P_WALL_S_CEILING} s ceiling" >&2
+  exit 1
+fi
 
 # Fault-matrix smoke: every seeded fault scenario must terminate in a
 # structured, deterministic way — no panic, no hang. The wall-clock

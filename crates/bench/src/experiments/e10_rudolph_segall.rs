@@ -12,7 +12,7 @@
 //! requirement) under rising contention; we report bus cycles per critical
 //! section and unsuccessful attempts per acquisition.
 
-use super::{measure_point, ContenderOutcome};
+use super::measure_point;
 use crate::report::{f, Report};
 use mcs_core::ProtocolKind;
 use mcs_sync::LockSchemeKind;
@@ -54,11 +54,6 @@ pub fn run() -> Report {
     report
 }
 
-/// One sweep point, shared with the tests.
-pub fn point(kind: ProtocolKind, scheme: LockSchemeKind, procs: usize) -> ContenderOutcome {
-    measure_point(kind, scheme, procs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -66,7 +61,7 @@ mod tests {
     #[test]
     fn both_schemes_complete_under_contention() {
         for (kind, scheme, _) in CONTENDERS {
-            let out = point(kind, scheme, 4);
+            let out = measure_point(kind, scheme, 4);
             assert!(out.sections > 0, "{kind}/{scheme} must make progress");
         }
     }
@@ -74,15 +69,15 @@ mod tests {
     #[test]
     fn register_scheme_has_zero_failed_attempts() {
         for procs in PROC_SWEEP {
-            let out = point(ProtocolKind::BitarDespain, LockSchemeKind::CacheLock, procs);
+            let out = measure_point(ProtocolKind::BitarDespain, LockSchemeKind::CacheLock, procs);
             assert_eq!(out.failed_per_acquire, 0.0);
         }
     }
 
     #[test]
     fn rs_ttas_beats_rs_tas_under_contention() {
-        let ttas = point(ProtocolKind::RudolphSegall, LockSchemeKind::TestAndTestAndSet, 8);
-        let tas = point(ProtocolKind::RudolphSegall, LockSchemeKind::TestAndSet, 8);
+        let ttas = measure_point(ProtocolKind::RudolphSegall, LockSchemeKind::TestAndTestAndSet, 8);
+        let tas = measure_point(ProtocolKind::RudolphSegall, LockSchemeKind::TestAndSet, 8);
         assert!(
             ttas.failed_per_acquire <= tas.failed_per_acquire,
             "spinning in cache ({:.2}) must not fail more than blind TAS ({:.2})",

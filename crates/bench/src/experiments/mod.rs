@@ -1,4 +1,4 @@
-//! The measured experiments E1–E10 (see `DESIGN.md` §5 for the index and
+//! The measured experiments E1–E13 (see `DESIGN.md` §5 for the index and
 //! `EXPERIMENTS.md` for paper-vs-measured).
 //!
 //! Every experiment returns a [`Report`](crate::report::Report); its tests
@@ -19,35 +19,21 @@ pub mod e7_source_policy;
 pub mod e8_write_no_fetch;
 pub mod e9_transfer_units;
 
-use mcs_cache::CacheConfig;
-use mcs_core::{with_protocol, ProtocolKind};
+use crate::harness::RunSpec;
+use crate::report::Report;
+use mcs_core::ProtocolKind;
 use mcs_model::Stats;
-use mcs_sim::{EngineMode, System, SystemConfig};
 use mcs_sync::{LockSchemeKind, LockSchemeStats};
 use mcs_workloads::{
     CriticalSectionBuilder, CriticalSectionWorkload, RandomSharingConfig, RandomSharingWorkload,
 };
-use std::sync::atomic::{AtomicBool, Ordering};
 
 /// Hard ceiling for experiment runs; hitting it means a deadlock.
 const MAX_CYCLES: u64 = 30_000_000;
 
-static CYCLE_ACCURATE: AtomicBool = AtomicBool::new(false);
-
-/// Forces subsequent experiment runs onto the cycle-accurate reference
-/// engine instead of the event-driven default. Results are bit-identical
-/// either way (see `crates/sim/tests/equivalence.rs`); the engine benchmark
-/// uses this to time the pre-optimization baseline.
-pub fn force_cycle_accurate(on: bool) {
-    CYCLE_ACCURATE.store(on, Ordering::Relaxed);
-}
-
-fn engine_mode() -> EngineMode {
-    if CYCLE_ACCURATE.load(Ordering::Relaxed) {
-        EngineMode::CycleAccurate
-    } else {
-        EngineMode::EventDriven
-    }
+/// The run builder every measured experiment goes through.
+fn spec(kind: ProtocolKind, procs: usize, words_per_block: usize, cache_blocks: usize) -> RunSpec {
+    RunSpec::new(kind).procs(procs).geometry(cache_blocks, words_per_block).max_cycles(MAX_CYCLES)
 }
 
 /// Outcome of a critical-section run.
@@ -104,25 +90,17 @@ pub fn run_cs(
     cache_blocks: usize,
     configure: impl Fn(CriticalSectionBuilder) -> CriticalSectionBuilder,
 ) -> CsOutcome {
-    let cache = CacheConfig::fully_associative(cache_blocks, words_per_block)
-        .expect("valid cache geometry");
-    let builder = configure(
+    let mut workload = configure(
         CriticalSectionWorkload::builder().scheme(scheme).words_per_block(words_per_block),
-    );
-    let mut workload = builder.build();
-    with_protocol!(kind, p => {
-        let mut sys = System::new(p, SystemConfig::new(procs).with_cache(cache).with_engine(engine_mode()))
-            .expect("valid system");
-        let stats = sys
-            .run_workload(&mut workload, MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{kind} critical-section run failed: {e}"));
-        CsOutcome {
-            stats,
-            sections: workload.completed_sections(),
-            scheme: *workload.scheme_stats(),
-            mean_acquire: workload.mean_acquire_latency(),
-        }
-    })
+    )
+    .build();
+    let run = spec(kind, procs, words_per_block, cache_blocks).run(&mut workload, None);
+    CsOutcome {
+        stats: run.stats,
+        sections: workload.completed_sections(),
+        scheme: *workload.scheme_stats(),
+        mean_acquire: workload.mean_acquire_latency(),
+    }
 }
 
 /// Runs the Smith-calibrated random-sharing workload on `kind`.
@@ -133,56 +111,41 @@ pub fn run_random(
     cache_blocks: usize,
     cfg: RandomSharingConfig,
 ) -> Stats {
-    let cache = CacheConfig::fully_associative(cache_blocks, words_per_block)
-        .expect("valid cache geometry");
-    with_protocol!(kind, p => {
-        let mut sys = System::new(p, SystemConfig::new(procs).with_cache(cache).with_engine(engine_mode()))
-            .expect("valid system");
-        sys.run_workload(RandomSharingWorkload::new(cfg), MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{kind} random run failed: {e}"))
-    })
+    spec(kind, procs, words_per_block, cache_blocks)
+        .run(&mut RandomSharingWorkload::new(cfg), None)
+        .stats
 }
+
+/// An experiment runner: regenerates one experiment's report.
+pub type Runner = fn() -> Report;
+
+/// Every experiment runner with its id, in E1..E13 order.
+pub const RUNNERS: [(&str, Runner); 13] = [
+    ("e1", e1_shared_data::run),
+    ("e2", e2_locking::run),
+    ("e3", e3_busywait::run),
+    ("e4", e4_dirty_status::run),
+    ("e5", e5_invalidation_signal::run),
+    ("e6", e6_read_for_write::run),
+    ("e7", e7_source_policy::run),
+    ("e8", e8_write_no_fetch::run),
+    ("e9", e9_transfer_units::run),
+    ("e10", e10_rudolph_segall::run),
+    ("e11", e11_directory::run),
+    ("e12", e12_rmw_methods::run),
+    ("e13", e13_berkeley_wc::run),
+];
 
 /// All experiment reports, in order, for the `exp` binary.
-pub fn all() -> Vec<crate::report::Report> {
+pub fn all() -> Vec<Report> {
     // Each experiment is an independent deterministic simulation; fan the
     // thirteen runners out over threads, reports returned in E1..E13 order.
-    let runners: [fn() -> crate::report::Report; 13] = [
-        e1_shared_data::run,
-        e2_locking::run,
-        e3_busywait::run,
-        e4_dirty_status::run,
-        e5_invalidation_signal::run,
-        e6_read_for_write::run,
-        e7_source_policy::run,
-        e8_write_no_fetch::run,
-        e9_transfer_units::run,
-        e10_rudolph_segall::run,
-        e11_directory::run,
-        e12_rmw_methods::run,
-        e13_berkeley_wc::run,
-    ];
-    crate::sweep::sweep(&runners, |_, run| run())
+    crate::sweep::sweep(&RUNNERS, |_, (_, run)| run())
 }
 
-/// Looks up an experiment by id (`e1`…`e10`).
-pub fn by_id(id: &str) -> Option<crate::report::Report> {
-    Some(match id {
-        "e1" => e1_shared_data::run(),
-        "e2" => e2_locking::run(),
-        "e3" => e3_busywait::run(),
-        "e4" => e4_dirty_status::run(),
-        "e5" => e5_invalidation_signal::run(),
-        "e6" => e6_read_for_write::run(),
-        "e7" => e7_source_policy::run(),
-        "e8" => e8_write_no_fetch::run(),
-        "e9" => e9_transfer_units::run(),
-        "e10" => e10_rudolph_segall::run(),
-        "e11" => e11_directory::run(),
-        "e12" => e12_rmw_methods::run(),
-        "e13" => e13_berkeley_wc::run(),
-        _ => return None,
-    })
+/// Runs an experiment by id (`e1`…`e13`), or `None` for an unknown id.
+pub fn by_id(id: &str) -> Option<Report> {
+    RUNNERS.iter().find(|(name, _)| *name == id).map(|(_, run)| run())
 }
 
 /// A compact outcome for contention sweeps (E10).
@@ -211,29 +174,4 @@ pub fn measure_point(
         cycles_per_section: out.bus_cycles_per_section(),
         failed_per_acquire: out.failed_attempts_per_acquire(),
     }
-}
-
-/// Like [`run_cs`] but overriding the directory organization (Feature 3
-/// ablation, E11).
-pub fn run_cs_with_directory(
-    kind: ProtocolKind,
-    procs: usize,
-    scheme: LockSchemeKind,
-    duality: mcs_model::DirectoryDuality,
-    configure: impl Fn(CriticalSectionBuilder) -> CriticalSectionBuilder,
-) -> Stats {
-    let cache = CacheConfig::fully_associative(64, 4).expect("valid cache geometry");
-    let builder = configure(
-        CriticalSectionWorkload::builder().scheme(scheme).words_per_block(4),
-    );
-    let mut workload = builder.build();
-    with_protocol!(kind, p => {
-        let mut sys = System::new(
-            p,
-            SystemConfig::new(procs).with_cache(cache).with_directory(duality).with_engine(engine_mode()),
-        )
-        .expect("valid system");
-        sys.run_workload(&mut workload, MAX_CYCLES)
-            .unwrap_or_else(|e| panic!("{kind} directory run failed: {e}"))
-    })
 }

@@ -1,36 +1,29 @@
 //! Shared run harness: one place that builds a system from a compact spec,
 //! runs a workload on it, and collects every observability output.
 //!
-//! Both the engine benchmark (`bench_engine`) and the observed-run library
-//! ([`crate::obsrun`]) used to hand-roll the same cache-config /
-//! system-config / run / collect sequence; they now both go through
-//! [`RunSpec::run`], so a change to how benchmark systems are constructed
-//! (a new config knob, a different default geometry) lands in one place.
+//! The measured experiments ([`crate::experiments`]), the observed-run
+//! library ([`crate::obsrun`]) and the `faultmatrix` binary all build their
+//! systems through [`RunSpec`], so a change to how a run is constructed (a
+//! new config knob, a different default geometry) lands in one place. The
+//! repository benchmark (`perfbench/`, declared in `BENCHMARK.json`) times
+//! these same paths. Only the directed figure and ablation scenarios, which
+//! drive a system step by step, build their own.
 
 use mcs_cache::CacheConfig;
 use mcs_core::{with_protocol, ProtocolKind};
 use mcs_model::Stats;
 use mcs_obs::{EventSink, IntervalSampler, LatencyHists};
 use mcs_sim::faults::{FaultPlan, FaultStats, WatchdogConfig, WatchdogReport};
-use mcs_sim::{EngineMode, SimError, System, SystemConfig, Workload};
-use std::time::Instant;
+use mcs_sim::{SimError, System, SystemConfig, Workload};
 
-/// Times a closure, returning its result and the elapsed wall seconds.
-pub fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
-    let t = Instant::now();
-    let r = f();
-    (r, t.elapsed().as_secs_f64())
-}
-
-/// Compact description of one benchmark/observed system: protocol, scale,
-/// cache geometry, engine mode and which observability outputs to record.
+/// Compact description of one experiment/observed system: protocol, scale,
+/// cache geometry, cycle ceiling and which observability outputs to record.
 #[derive(Debug, Clone)]
 pub struct RunSpec {
     kind: ProtocolKind,
     procs: usize,
     cache_blocks: usize,
     words_per_block: usize,
-    engine: EngineMode,
     histograms: bool,
     timeline_window: Option<u64>,
     max_cycles: u64,
@@ -65,17 +58,16 @@ pub struct HarnessRun {
 }
 
 impl RunSpec {
-    /// A 4-processor system on `kind` with the benchmark default geometry
-    /// (64 fully-associative blocks, word blocks where the protocol needs
-    /// them), the default engine, no observability, and a generous cycle
-    /// ceiling (hitting it means a deadlock).
+    /// A 4-processor system on `kind` with the default geometry (64
+    /// fully-associative blocks, word blocks where the protocol needs them),
+    /// no observability, and a generous cycle ceiling (hitting it means a
+    /// deadlock).
     pub fn new(kind: ProtocolKind) -> Self {
         RunSpec {
             kind,
             procs: 4,
             cache_blocks: 64,
             words_per_block: if kind.requires_word_blocks() { 1 } else { 4 },
-            engine: EngineMode::default(),
             histograms: false,
             timeline_window: None,
             max_cycles: 300_000_000,
@@ -91,9 +83,11 @@ impl RunSpec {
         self
     }
 
-    /// Selects the time-advance engine.
-    pub fn engine(mut self, engine: EngineMode) -> Self {
-        self.engine = engine;
+    /// Sets the fully-associative cache geometry: `cache_blocks` blocks of
+    /// `words_per_block` words each.
+    pub fn geometry(mut self, cache_blocks: usize, words_per_block: usize) -> Self {
+        self.cache_blocks = cache_blocks;
+        self.words_per_block = words_per_block;
         self
     }
 
@@ -150,7 +144,7 @@ impl RunSpec {
         let cache = CacheConfig::fully_associative(self.cache_blocks, self.words_per_block)
             .expect("valid cache geometry");
         with_protocol!(self.kind, p => {
-            let mut cfg = SystemConfig::new(self.procs).with_cache(cache).with_engine(self.engine);
+            let mut cfg = SystemConfig::new(self.procs).with_cache(cache);
             if self.histograms {
                 cfg = cfg.with_histograms(true);
             }
@@ -189,7 +183,7 @@ impl RunSpec {
         })
     }
 
-    /// [`Self::try_run`], panicking on simulation errors — for benchmarks
+    /// [`Self::try_run`], panicking on simulation errors — for experiments
     /// and observed runs where a failure is a bug, not a condition to
     /// handle.
     pub fn run<W: Workload>(&self, workload: &mut W, sink: Option<Box<dyn EventSink>>) -> HarnessRun {
@@ -224,6 +218,8 @@ mod tests {
     fn spec_defaults_resolve_block_size_from_protocol() {
         assert_eq!(RunSpec::new(ProtocolKind::BitarDespain).words_per_block(), 4);
         assert_eq!(RunSpec::new(ProtocolKind::RudolphSegall).words_per_block(), 1);
+        let overridden = RunSpec::new(ProtocolKind::RudolphSegall).geometry(128, 8);
+        assert_eq!((overridden.cache_blocks, overridden.words_per_block()), (128, 8));
     }
 
     #[test]
@@ -255,16 +251,5 @@ mod tests {
         assert!(run.watchdog.expect("watchdog armed").checks > 0);
         assert!(run.trace_len > 0, "prefix trace must be available post-mortem");
         assert!(run.stats.cycles > 0, "prefix stats must be available post-mortem");
-    }
-
-    #[test]
-    fn engine_modes_agree_through_the_harness() {
-        let ev = RunSpec::new(ProtocolKind::BitarDespain)
-            .engine(EngineMode::EventDriven)
-            .run(&mut tiny_cs(), None);
-        let cc = RunSpec::new(ProtocolKind::BitarDespain)
-            .engine(EngineMode::CycleAccurate)
-            .run(&mut tiny_cs(), None);
-        assert_eq!(ev.stats, cc.stats);
     }
 }

@@ -8,29 +8,20 @@
 //! wall-clock time, never content.
 //!
 //! No thread pool, no channels, no dependencies: a shared atomic cursor
-//! hands indices to workers (work stealing), and the scope joins them all
-//! before returning. A panic in any grid point propagates to the caller.
+//! hands indices to workers (work stealing), and every worker is joined
+//! before returning. A panic in a grid point propagates to the caller with
+//! its own payload, as the serial loop would raise it.
 
+use std::any::Any;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
-
-/// Optional global cap on worker threads; `0` means "use all cores".
-static MAX_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-/// Caps the number of worker threads used by subsequent [`sweep`] calls
-/// (`0` restores the all-cores default). `1` forces serial execution —
-/// the engine benchmark uses this to time the pre-parallelism baseline.
-pub fn set_max_threads(n: usize) {
-    MAX_THREADS.store(n, Ordering::Relaxed);
-}
 
 /// Upper bound on worker threads (grid points are CPU-bound simulations;
 /// more threads than cores just adds scheduling noise).
 fn worker_count(points: usize) -> usize {
     let cores = std::thread::available_parallelism().map(|p| p.get()).unwrap_or(1);
-    let cap = MAX_THREADS.load(Ordering::Relaxed);
-    let limit = if cap > 0 { cap.min(cores) } else { cores };
-    limit.min(points).max(1)
+    cores.min(points).max(1)
 }
 
 /// Applies `f` to every point, in parallel, returning results in input
@@ -38,7 +29,8 @@ fn worker_count(points: usize) -> usize {
 ///
 /// # Panics
 ///
-/// Propagates the first panic raised by `f` on any worker thread.
+/// Re-raises the panic of the lowest-index point whose `f` panicked, with
+/// its original payload — the same panic the serial loop would raise.
 pub fn sweep<T: Sync, R: Send>(points: &[T], f: impl Fn(usize, &T) -> R + Sync) -> Vec<R> {
     let n = points.len();
     let workers = worker_count(n);
@@ -47,18 +39,32 @@ pub fn sweep<T: Sync, R: Send>(points: &[T], f: impl Fn(usize, &T) -> R + Sync) 
     }
     let cursor = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let i = cursor.fetch_add(1, Ordering::Relaxed);
-                if i >= n {
-                    break;
-                }
-                let result = f(i, &points[i]);
-                *slots[i].lock().expect("result slot poisoned") = Some(result);
-            });
+    // A worker stops at its first panicking point and hands back its index
+    // and payload. Indices are claimed in increasing order, so every point
+    // below the lowest panicking one has been claimed by some worker and
+    // run to completion: the lowest index reported is the serial loop's.
+    let worker = || -> Option<(usize, Box<dyn Any + Send>)> {
+        loop {
+            let i = cursor.fetch_add(1, Ordering::Relaxed);
+            if i >= n {
+                return None;
+            }
+            match panic::catch_unwind(AssertUnwindSafe(|| f(i, &points[i]))) {
+                Ok(result) => *slots[i].lock().expect("result slot poisoned") = Some(result),
+                Err(payload) => return Some((i, payload)),
+            }
         }
+    };
+    let first_panic = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
+        handles
+            .into_iter()
+            .filter_map(|h| h.join().unwrap_or_else(|payload| panic::resume_unwind(payload)))
+            .min_by_key(|&(i, _)| i)
     });
+    if let Some((_, payload)) = first_panic {
+        panic::resume_unwind(payload);
+    }
     slots
         .into_iter()
         .enumerate()
@@ -68,14 +74,6 @@ pub fn sweep<T: Sync, R: Send>(points: &[T], f: impl Fn(usize, &T) -> R + Sync) 
                 .unwrap_or_else(|| panic!("sweep point {i} produced no result"))
         })
         .collect()
-}
-
-/// Convenience for sweeping owned work items.
-pub fn sweep_into<T: Send + Sync, R: Send>(
-    points: Vec<T>,
-    f: impl Fn(usize, &T) -> R + Sync,
-) -> Vec<R> {
-    sweep(&points, f)
 }
 
 #[cfg(test)]
@@ -115,7 +113,6 @@ mod tests {
         let points: Vec<u64> = (1..40).collect();
         let serial: Vec<u64> = points.iter().map(|&p| p * p + 1).collect();
         assert_eq!(sweep(&points, |_, &p| p * p + 1), serial);
-        assert_eq!(sweep_into(points, |_, &p| p * p + 1), serial);
     }
 
     #[test]
@@ -125,6 +122,29 @@ mod tests {
         sweep(&points, |_, &p| {
             if p == 5 {
                 panic!("grid point failed");
+            }
+            p
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "point 3 failed")]
+    fn propagates_the_lowest_index_panic() {
+        // Point 3 waits until point 6 has panicked, so with two or more
+        // workers the higher index fails first. The serial path (one core)
+        // reaches point 3 first and times out instead.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let rx = Mutex::new(rx);
+        let points: Vec<usize> = (0..8).collect();
+        sweep(&points, |_, &p| {
+            if p == 6 {
+                let _ = tx.send(());
+                panic!("point 6 failed");
+            }
+            if p == 3 {
+                let rx = rx.lock().expect("receiver lock poisoned");
+                let _ = rx.recv_timeout(std::time::Duration::from_secs(1));
+                panic!("point 3 failed");
             }
             p
         });
