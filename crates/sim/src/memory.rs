@@ -107,12 +107,9 @@ impl MainMemory {
         let block = self.geometry.block_of(addr);
         let offset = self.geometry.offset_of(addr);
         self.writes += 1;
-        let entry = self.blocks.entry(block).or_insert_with(|| {
-            vec![Word(0); 0].into_boxed_slice() // replaced below; placeholder keeps borrowck simple
-        });
-        if entry.is_empty() {
-            *entry = vec![Word(0); self.geometry.words_per_block()].into_boxed_slice();
-        }
+        let words = self.geometry.words_per_block();
+        let entry =
+            self.blocks.entry(block).or_insert_with(|| vec![Word(0); words].into_boxed_slice());
         entry[offset] = value;
     }
 
@@ -163,6 +160,15 @@ mod tests {
         assert_eq!(m.read_word(Addr(4)), Word(0));
         let block = m.read_block(BlockAddr(1));
         assert_eq!(block[1], Word(42));
+    }
+
+    #[test]
+    fn first_word_write_leaves_the_rest_of_the_block_zero() {
+        let mut m = mem();
+        m.write_word(Addr(6), Word(42));
+        let block = m.read_block(BlockAddr(1));
+        assert_eq!(&*block, &[Word(0), Word(0), Word(42), Word(0)]);
+        assert_eq!(m.read_block_ref(BlockAddr(1)).map(<[Word]>::len), Some(4));
     }
 
     #[test]

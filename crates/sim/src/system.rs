@@ -18,13 +18,38 @@
 //!
 //! The engine runs in one of two [`EngineMode`]s. The cycle-accurate
 //! reference mode advances `now` one bus cycle at a time. The event-driven
-//! default computes the next *interesting* cycle — the earliest
-//! `Computing`/`InFlight` completion, the next arbitration slot (only when
-//! a request is actually queued), or a workload idle hint — and jumps
-//! straight there, converting the per-cycle busy/stall/lock-wait/useful-wait
-//! accounting into interval arithmetic. Both modes produce bit-identical
-//! [`Stats`] and [`Trace`] output (see `tests/equivalence.rs`); the
-//! event-driven mode merely skips the cycles on which nothing can happen.
+//! default jumps straight to the next *interesting* cycle — the earliest
+//! phase deadline, the next arbitration slot (only when a request is
+//! actually queued), or the watchdog's next check. Both modes produce
+//! bit-identical [`Stats`] and [`Trace`] output (see `tests/equivalence.rs`);
+//! the event-driven mode merely skips the cycles on which nothing can
+//! happen.
+//!
+//! A step costs what is *active*, not the machine size. Every phase change
+//! goes through one `set_phase`, which keeps four structures in step with
+//! the phase machines:
+//!
+//! - A **deadline calendar**, a min-heap of `(cycle, proc)`: `Computing`,
+//!   `InFlight` and `Backoff` ends, sleeping busy-wait timeouts and
+//!   `IdleUntil` hints. An entry is live only while it still equals the
+//!   processor's current deadline, so superseded entries are dropped when
+//!   popped. The due entries drain into a bitset that is visited in
+//!   ascending processor index, so completions reach the workload in the
+//!   same order as a full scan would deliver them; the next event is a
+//!   peek.
+//! - **Processor bitsets**: `Ready` processors (each one is still polled on
+//!   every step, because `IdleUntil` polls may mutate the workload),
+//!   `Pending` requests, and woken busy-wait registers. Arbitration takes
+//!   the next set bit at or after the round-robin pointer, wrapping,
+//!   woken registers first — the full scan's order, candidate by candidate.
+//! - **Counts**: finished processors and outstanding lock waiters.
+//! - **Phase-exit accounting**: each phase's busy / stall / lock-wait /
+//!   useful-wait cycles accrue in closed form when it exits, from the
+//!   `since` stamp taken when it was entered; phases still live at the end
+//!   of a run accrue then.
+//!
+//! Under `debug-checks`, every step re-derives the calendar, the bitsets
+//! and the counts from a scan of the phases and asserts that they agree.
 //!
 //! # Snoop filter
 //!
@@ -49,7 +74,8 @@ use crate::workload::{AccessResult, ScriptWorkload, WaitBehavior, WorkItem, Work
 use mcs_cache::{BusyWaitRegister, Cache, DirectoryModel, EvictedLine};
 use mcs_faults::{FaultState, FaultStats, Watchdog, WatchdogReport, WatchdogTrip};
 use mcs_obs::{EventSink, IntervalSampler, LatencyHists};
-use std::collections::BTreeMap;
+use std::cmp::Reverse;
+use std::collections::{BTreeMap, BinaryHeap};
 use mcs_model::{
     AccessKind, Addr, AgentId, BlockAddr, BlockGeometry, BusOp, BusTxn, CacheId, CompleteOutcome,
     EvictAction, Event, LineState, Privilege, ProcAction, ProcId, ProcOp, Protocol, SnoopSummary,
@@ -87,7 +113,6 @@ enum Phase {
         bus_op: BusOp,
         since: u64,
         behavior: WaitBehavior,
-        worked: u64,
         retries: u32,
         issued_at: u64,
         armed_at: u64,
@@ -103,6 +128,94 @@ enum Phase {
     },
     /// Program finished.
     Done,
+}
+
+impl Phase {
+    /// Whether this phase counts as an outstanding lock waiter (for the
+    /// interval sampler's waiter integral and the lock-wait cycles).
+    fn is_lock_waiter(&self) -> bool {
+        match self {
+            Phase::Pending { wait_since, .. } | Phase::Backoff { wait_since, .. } => {
+                wait_since.is_some()
+            }
+            Phase::WaitingLock { .. } => true,
+            _ => false,
+        }
+    }
+}
+
+/// A set of processor indices, one bit each.
+#[derive(Debug, Clone)]
+struct ProcSet {
+    words: Vec<u64>,
+}
+
+impl ProcSet {
+    /// An empty set over `n` processors.
+    fn new(n: usize) -> Self {
+        ProcSet { words: vec![0; n.div_ceil(64)] }
+    }
+
+    #[inline]
+    fn insert(&mut self, i: usize) {
+        self.words[i / 64] |= 1 << (i % 64);
+    }
+
+    #[inline]
+    fn remove(&mut self, i: usize) {
+        self.words[i / 64] &= !(1 << (i % 64));
+    }
+
+    #[cfg(feature = "debug-checks")]
+    fn contains(&self, i: usize) -> bool {
+        self.words[i / 64] & (1 << (i % 64)) != 0
+    }
+
+    #[inline]
+    fn is_empty(&self) -> bool {
+        self.words.iter().all(|&w| w == 0)
+    }
+
+    fn clear(&mut self) {
+        self.words.fill(0);
+    }
+
+    /// The members in word `w`, ascending. The iterator holds a copy of
+    /// the word, so the set may change while it runs.
+    fn members_in_word(&self, w: usize) -> impl Iterator<Item = usize> {
+        Bits(self.words[w]).map(move |b| w * 64 + b)
+    }
+
+    /// The first member a round-robin scan from `start` grants: set bits
+    /// at or after `start`, ascending, then the ones before it, skipping
+    /// each candidate `skip` passes over.
+    fn first_from(&self, start: usize, mut skip: impl FnMut(usize) -> bool) -> Option<usize> {
+        let (first, bit) = (start / 64, start % 64);
+        let len = self.words.len();
+        let at_or_after = !0u64 << bit;
+        let mut w = first;
+        for k in 0..=len {
+            let word = self.words[w];
+            let bits = if k == 0 {
+                word & at_or_after
+            } else if k == len {
+                word & !at_or_after
+            } else {
+                word
+            };
+            if let Some(i) = Bits(bits).map(|b| w * 64 + b).find(|&i| !skip(i)) {
+                return Some(i);
+            }
+            w = if w + 1 == len { 0 } else { w + 1 };
+        }
+        None
+    }
+}
+
+/// The member of `set` a round-robin arbiter at `rr` grants. Fault choke
+/// point: an unfair arbiter passes over its starvation victim.
+fn pick(set: &ProcSet, rr: usize, faults: &mut Option<FaultState>) -> Option<usize> {
+    set.first_from(rr, |i| faults.as_mut().is_some_and(|f| f.take_starved_grant(i)))
 }
 
 /// Iterator over the set bits of a bitmask, ascending.
@@ -249,9 +362,31 @@ pub struct System<P: Protocol> {
     /// Ordered map so iteration order can never make the engine modes (or
     /// two runs) diverge.
     memory_locks: BTreeMap<BlockAddr, (CacheId, bool)>,
-    /// Per-processor wakeup hints from [`WorkItem::IdleUntil`], refreshed
-    /// on every poll; `u64::MAX` means "no hint".
-    idle_hints: Vec<u64>,
+    /// Cycle each processor entered its current phase: the phase's cycles
+    /// accrue from here when it exits.
+    since: Vec<u64>,
+    /// Each processor's current calendar deadline (`u64::MAX`: none): its
+    /// phase's end, its sleeping busy-wait timeout, or — while `Ready` —
+    /// the [`WorkItem::IdleUntil`] hint of its latest poll.
+    wake_at: Vec<u64>,
+    /// Min-heap of `(cycle, proc)` deadlines. An entry is live only while
+    /// `wake_at[proc] == cycle`; superseded ones are dropped when popped.
+    calendar: BinaryHeap<Reverse<(u64, usize)>>,
+    /// Processors whose deadline has come, drained from the calendar at
+    /// the start of a step.
+    due: ProcSet,
+    /// Processors in `Phase::Ready`.
+    ready: ProcSet,
+    /// Processors in `Phase::Pending`.
+    pending: ProcSet,
+    /// Processors in `Phase::WaitingLock` whose busy-wait register is
+    /// woken: the reserved high-priority arbitration level.
+    woken: ProcSet,
+    /// Processors in `Phase::Done`.
+    done: usize,
+    /// Processors that are outstanding lock waiters
+    /// ([`Phase::is_lock_waiter`]).
+    lock_waiters: u64,
     engine: EngineMode,
     now: u64,
     bus_free_at: u64,
@@ -337,7 +472,15 @@ impl<P: Protocol> System<P> {
             woken_at: vec![0; n],
             phases: vec![Phase::Ready; n],
             memory_locks: BTreeMap::new(),
-            idle_hints: vec![u64::MAX; n],
+            since: vec![0; n],
+            wake_at: vec![u64::MAX; n],
+            calendar: BinaryHeap::new(),
+            due: ProcSet::new(n),
+            ready: ProcSet::new(n),
+            pending: ProcSet::new(n),
+            woken: ProcSet::new(n),
+            done: 0,
+            lock_waiters: 0,
             engine: config.engine(),
             now: 0,
             bus_free_at: 0,
@@ -556,24 +699,43 @@ impl<P: Protocol> System<P> {
     fn run_loop<W: Workload>(&mut self, workload: &mut W, max_cycles: u64) -> Result<bool, SimError> {
         self.reset_phases();
         let deadline = self.now + max_cycles;
-        let mut completed = false;
+        let result = self.drive(workload, deadline);
+        // Phases still live at the deadline cut-off (or an error) accrue
+        // up to the cycle the run stopped at.
+        for i in 0..self.phases.len() {
+            self.accrue(i);
+        }
+        result
+    }
+
+    /// Steps until every processor is done or `deadline` is reached.
+    fn drive<W: Workload>(&mut self, workload: &mut W, deadline: u64) -> Result<bool, SimError> {
         while self.now < deadline {
             let all_done = self.step(workload)?;
             self.watchdog_check()?;
+            #[cfg(feature = "debug-checks")]
+            self.assert_event_core_consistent(deadline);
             let dt = if all_done || self.engine == EngineMode::CycleAccurate {
                 1
             } else {
                 self.next_event(deadline) - self.now
             };
-            self.account(dt);
+            // Outstanding lock-waiters integral: each waiter contributes
+            // `dt` waiter-cycles over [now, now+dt), split across sample
+            // windows so event-driven skips attribute identically to
+            // per-cycle stepping.
+            if self.lock_waiters > 0 {
+                if let Some(s) = &mut self.sampler {
+                    s.add_waiter_spans(self.now, dt, self.lock_waiters);
+                }
+            }
             self.now += dt;
             self.stats.cycles = self.now;
             if all_done {
-                completed = true;
-                break;
+                return Ok(true);
             }
         }
-        Ok(completed)
+        Ok(false)
     }
 
     /// Runs a due forward-progress check. Only processors with an
@@ -638,9 +800,20 @@ impl<P: Protocol> System<P> {
     /// Restarts every processor's phase machine so a fresh workload can be
     /// driven over the warm caches and memory.
     fn reset_phases(&mut self) {
-        for phase in &mut self.phases {
-            *phase = Phase::Ready;
+        let n = self.phases.len();
+        self.phases.fill(Phase::Ready);
+        self.since.fill(self.now);
+        self.wake_at.fill(u64::MAX);
+        self.calendar.clear();
+        self.due.clear();
+        self.ready.clear();
+        for i in 0..n {
+            self.ready.insert(i);
         }
+        self.pending.clear();
+        self.woken.clear();
+        self.done = 0;
+        self.lock_waiters = 0;
         for reg in &mut self.registers {
             reg.disarm();
         }
@@ -665,6 +838,106 @@ impl<P: Protocol> System<P> {
         if i < 64 {
             self.watch_mask &= !(1 << i);
         }
+    }
+
+    /// Moves processor `i` into `phase`: accrues the phase it leaves, keeps
+    /// the ready/pending sets and the done/lock-waiter counts in step, and
+    /// schedules the new phase's deadline. The only writer of `phases`
+    /// apart from `reset_phases`.
+    fn set_phase(&mut self, i: usize, phase: Phase) {
+        self.accrue(i);
+        match self.phases[i] {
+            Phase::Ready => self.ready.remove(i),
+            Phase::Pending { .. } => self.pending.remove(i),
+            _ => {}
+        }
+        if self.phases[i].is_lock_waiter() {
+            self.lock_waiters -= 1;
+        }
+        match phase {
+            Phase::Ready => self.ready.insert(i),
+            Phase::Pending { .. } => self.pending.insert(i),
+            Phase::Done => self.done += 1,
+            _ => {}
+        }
+        if phase.is_lock_waiter() {
+            self.lock_waiters += 1;
+        }
+        self.phases[i] = phase;
+        self.schedule(i);
+    }
+
+    /// Processor `i`'s deadline as its phase and busy-wait register imply:
+    /// a phase end, or a sleeping register's timeout (when recovery is
+    /// configured). A `Ready` processor's idle hint is set by its poll.
+    fn phase_deadline(&self, i: usize) -> u64 {
+        match &self.phases[i] {
+            Phase::Computing { until }
+            | Phase::InFlight { until, .. }
+            | Phase::Backoff { until, .. } => *until,
+            Phase::WaitingLock { armed_at, .. } if !self.registers[i].wants_bus() => {
+                self.bw_timeout.map_or(u64::MAX, |to| armed_at + to)
+            }
+            _ => u64::MAX,
+        }
+    }
+
+    /// Re-derives processor `i`'s deadline after its phase or register
+    /// changed.
+    fn schedule(&mut self, i: usize) {
+        self.set_wake(i, self.phase_deadline(i));
+    }
+
+    /// Sets processor `i`'s deadline and enters it in the calendar.
+    #[inline]
+    fn set_wake(&mut self, i: usize, at: u64) {
+        self.wake_at[i] = at;
+        if at != u64::MAX {
+            self.calendar.push(Reverse((at, i)));
+        }
+    }
+
+    /// Accrues processor `i`'s current phase over `[since, now)` and
+    /// restarts its stamp. Called when the phase exits and, for phases
+    /// still live, once at the end of a run — never mid-phase, so the
+    /// work-while-waiting split stays the closed form `min(elapsed, c)`.
+    fn accrue(&mut self, i: usize) {
+        let dt = self.now - self.since[i];
+        self.since[i] = self.now;
+        let p = &mut self.stats.per_proc[i];
+        match &self.phases[i] {
+            Phase::Done => {}
+            Phase::Computing { .. } => p.busy_cycles += dt,
+            Phase::Ready | Phase::InFlight { .. } => p.stall_cycles += dt,
+            // Backing off is a stall; the lock wait keeps running.
+            Phase::Pending { wait_since, .. } | Phase::Backoff { wait_since, .. } => {
+                p.stall_cycles += dt;
+                if wait_since.is_some() {
+                    p.lock_wait_cycles += dt;
+                }
+            }
+            Phase::WaitingLock { behavior, .. } => {
+                // Work-while-waiting (Section E.4): the ready section
+                // supplies `c` cycles of useful work; the remainder of the
+                // wait is a plain stall.
+                let work = match behavior {
+                    WaitBehavior::WorkFor(c) => dt.min(*c),
+                    WaitBehavior::Spin => 0,
+                };
+                p.lock_wait_cycles += dt;
+                p.busy_cycles += work;
+                p.useful_wait_cycles += work;
+                p.stall_cycles += dt - work;
+            }
+        }
+    }
+
+    /// Disarms busy-wait register `i`: it stops watching and leaves the
+    /// high-priority level.
+    fn disarm(&mut self, i: usize) {
+        self.registers[i].disarm();
+        self.clear_watch(i);
+        self.woken.remove(i);
     }
 
     /// Caches a broadcast for `block` must visit: the holder mask's set
@@ -692,26 +965,35 @@ impl<P: Protocol> System<P> {
     /// completions, arbitrates the bus, and hands ready processors work.
     /// Returns `true` once every processor is done.
     fn step<W: Workload>(&mut self, workload: &mut W) -> Result<bool, SimError> {
-        // 1. Deliver completions whose time has come.
-        for i in 0..self.phases.len() {
-            match &self.phases[i] {
-                Phase::InFlight { op, until, result } if *until <= self.now => {
-                    let (op, result) = (*op, *result);
-                    self.phases[i] = Phase::Ready;
-                    self.note_progress(i);
-                    workload.complete(ProcId(i), &op, &result, self.now);
+        // 1. Deliver completions whose time has come, in processor order.
+        while let Some(&Reverse((at, i))) = self.calendar.peek() {
+            if at > self.now {
+                break;
+            }
+            self.calendar.pop();
+            if self.wake_at[i] == at {
+                self.due.insert(i);
+            }
+        }
+        for w in 0..self.due.words.len() {
+            for i in self.due.members_in_word(w) {
+                match &self.phases[i] {
+                    Phase::InFlight { op, result, .. } => {
+                        let (op, result) = (*op, *result);
+                        self.set_phase(i, Phase::Ready);
+                        self.note_progress(i);
+                        workload.complete(ProcId(i), &op, &result, self.now);
+                    }
+                    Phase::Computing { .. } => self.set_phase(i, Phase::Ready),
+                    Phase::Backoff { op, retries, wait_since, issued_at, .. } => {
+                        let (op, retries, wait_since, issued_at) =
+                            (*op, *retries, *wait_since, *issued_at);
+                        self.re_present_after_backoff(i, op, retries, wait_since, issued_at, workload)?;
+                    }
+                    // Busy-wait timeouts are taken in 1b; an idle hint
+                    // only makes this step happen.
+                    _ => {}
                 }
-                Phase::Computing { until } if *until <= self.now => {
-                    self.phases[i] = Phase::Ready;
-                }
-                Phase::Backoff { op, until, retries, wait_since, issued_at }
-                    if *until <= self.now =>
-                {
-                    let (op, retries, wait_since, issued_at) =
-                        (*op, *retries, *wait_since, *issued_at);
-                    self.re_present_after_backoff(i, op, retries, wait_since, issued_at, workload)?;
-                }
-                _ => {}
             }
         }
 
@@ -721,134 +1003,62 @@ impl<P: Protocol> System<P> {
         if self.bw_timeout.is_some() {
             self.check_busy_wait_timeouts()?;
         }
+        self.due.clear();
 
         // 2. Arbitrate if the bus is free.
         if self.bus_free_at <= self.now {
             self.try_grant(workload)?;
         }
 
-        // 3. Ready processors fetch work.
-        for i in 0..self.phases.len() {
-            self.idle_hints[i] = u64::MAX;
-            if matches!(self.phases[i], Phase::Ready) {
+        // 3. Ready processors fetch work. Each poll replaces the
+        // processor's idle hint.
+        for w in 0..self.ready.words.len() {
+            for i in self.ready.members_in_word(w) {
                 match workload.next(ProcId(i), self.now) {
-                    WorkItem::Done => self.phases[i] = Phase::Done,
-                    WorkItem::Idle => {} // stays Ready; counted as stall
-                    WorkItem::IdleUntil(t) => self.idle_hints[i] = t,
+                    WorkItem::Done => self.set_phase(i, Phase::Done),
+                    // Stays Ready; counted as stall.
+                    WorkItem::Idle => self.wake_at[i] = u64::MAX,
+                    WorkItem::IdleUntil(t) => self.set_wake(i, t),
                     WorkItem::Compute(c) => {
-                        self.phases[i] = Phase::Computing { until: self.now + c.max(1) };
+                        self.set_phase(i, Phase::Computing { until: self.now + c.max(1) });
                     }
                     WorkItem::Op(op) => self.present_op(i, op, workload)?,
                 }
             }
         }
 
-        Ok(self.phases.iter().all(|p| matches!(p, Phase::Done)))
-    }
-
-    /// Accounts an interval of `dt` cycles starting at `now`, during which
-    /// no phase machine changes state. With `dt == 1` this is exactly the
-    /// reference per-cycle accounting; the event-driven mode passes the
-    /// whole skipped interval at once.
-    fn account(&mut self, dt: u64) {
-        let mut lock_waiters = 0u64;
-        for i in 0..self.phases.len() {
-            let p = &mut self.stats.per_proc[i];
-            match &mut self.phases[i] {
-                Phase::Done => {}
-                Phase::Computing { .. } => p.busy_cycles += dt,
-                Phase::Ready => p.stall_cycles += dt, // idle
-                Phase::Pending { wait_since, .. } => {
-                    p.stall_cycles += dt;
-                    if wait_since.is_some() {
-                        p.lock_wait_cycles += dt;
-                        lock_waiters += 1;
-                    }
-                }
-                Phase::InFlight { .. } => p.stall_cycles += dt,
-                Phase::Backoff { wait_since, .. } => {
-                    // Backing off is a stall; the lock wait keeps running.
-                    p.stall_cycles += dt;
-                    if wait_since.is_some() {
-                        p.lock_wait_cycles += dt;
-                        lock_waiters += 1;
-                    }
-                }
-                Phase::WaitingLock { behavior, worked, .. } => {
-                    lock_waiters += 1;
-                    // Work-while-waiting (Section E.4): the ready section
-                    // supplies `c` cycles of useful work; the remainder of
-                    // the wait is a plain stall. The interval may straddle
-                    // the point where the ready section runs dry.
-                    p.lock_wait_cycles += dt;
-                    let work = match behavior {
-                        WaitBehavior::WorkFor(c) => dt.min(c.saturating_sub(*worked)),
-                        WaitBehavior::Spin => 0,
-                    };
-                    p.busy_cycles += work;
-                    p.useful_wait_cycles += work;
-                    *worked += work;
-                    p.stall_cycles += dt - work;
-                }
-            }
-        }
-        // Outstanding lock-waiters integral: each waiter contributes `dt`
-        // waiter-cycles over [now, now+dt), split across sample windows so
-        // event-driven skips attribute identically to per-cycle stepping.
-        // One multiplicity call covers all waiters at once.
-        if lock_waiters > 0 {
-            if let Some(s) = &mut self.sampler {
-                s.add_waiter_spans(self.now, dt, lock_waiters);
-            }
-        }
+        Ok(self.done == self.phases.len())
     }
 
     /// The next cycle at which a phase machine can change state: the
-    /// earliest `Computing`/`InFlight` completion, the next arbitration
-    /// slot (only when a request is queued or a woken busy-wait register
-    /// wants the bus), or a workload idle hint — clamped to
-    /// `[now + 1, deadline]`.
+    /// earliest live calendar deadline, the next arbitration slot (only
+    /// when a request is queued or a woken busy-wait register wants the
+    /// bus), or the watchdog's next check — clamped to `[now + 1,
+    /// deadline]`.
     ///
     /// Between `now` and the returned cycle, every `step` would be a
     /// no-op: no completion is due, arbitration has no requester (or no
     /// free bus), and ready processors would keep answering `Idle` —
     /// which the [`WorkItem::Idle`] contract guarantees is side-effect
     /// free. Skipping straight there is therefore behaviour-preserving.
-    fn next_event(&self, deadline: u64) -> u64 {
-        let floor = self.now + 1;
+    fn next_event(&mut self, deadline: u64) -> u64 {
         let mut t = deadline;
-        let mut bus_wanted = false;
-        for (i, phase) in self.phases.iter().enumerate() {
-            match phase {
-                Phase::Computing { until }
-                | Phase::InFlight { until, .. }
-                | Phase::Backoff { until, .. } => {
-                    t = t.min((*until).max(floor));
-                }
-                Phase::Pending { .. } => bus_wanted = true,
-                Phase::WaitingLock { .. } if self.registers[i].wants_bus() => bus_wanted = true,
-                Phase::WaitingLock { armed_at, .. } => {
-                    // A sleeping waiter only becomes interesting at its
-                    // busy-wait timeout (when recovery is configured).
-                    if let Some(to) = self.bw_timeout {
-                        t = t.min((armed_at + to).max(floor));
-                    }
-                }
-                _ => {}
+        while let Some(&Reverse((at, i))) = self.calendar.peek() {
+            if self.wake_at[i] == at {
+                t = t.min(at);
+                break;
             }
-            if self.idle_hints[i] != u64::MAX {
-                t = t.min(self.idle_hints[i].max(floor));
-            }
+            self.calendar.pop();
         }
-        if bus_wanted {
-            t = t.min(self.bus_free_at.max(floor));
+        if !self.pending.is_empty() || !self.woken.is_empty() {
+            t = t.min(self.bus_free_at);
         }
         // The watchdog's scheduled check is an event too: a fully quiet
         // deadlock would otherwise only be seen at the run deadline.
         if let Some(wd) = &self.watchdog {
-            t = t.min(wd.next_check_at().max(floor));
+            t = t.min(wd.next_check_at());
         }
-        t.max(floor)
+        t.max(self.now + 1)
     }
 
     /// Scans for busy-wait registers that have been armed longer than the
@@ -859,42 +1069,52 @@ impl<P: Protocol> System<P> {
     /// terminates with a typed error.
     fn check_busy_wait_timeouts(&mut self) -> Result<(), SimError> {
         let Some(timeout) = self.bw_timeout else { return Ok(()) };
-        for i in 0..self.phases.len() {
-            let (op, since, retries, issued_at) = match &self.phases[i] {
-                Phase::WaitingLock { op, since, retries, issued_at, armed_at, .. }
-                    if !self.registers[i].wants_bus() && self.now >= *armed_at + timeout =>
-                {
-                    (*op, *since, *retries, *issued_at)
-                }
-                _ => continue,
-            };
-            if retries + 1 > self.retry_bound {
-                return Err(SimError::Livelock { proc: i, bound: self.retry_bound });
+        // A sleeping waiter's timeout is its calendar deadline, so every
+        // waiter that times out now is in the due set.
+        for w in 0..self.due.words.len() {
+            for i in self.due.members_in_word(w) {
+                self.time_out_waiter(i, timeout)?;
             }
-            self.registers[i].disarm();
-            self.clear_watch(i);
-            let block = self.geometry.block_of(op.addr);
-            self.emit(self.now, || Event::WaiterTimeout {
-                cache: CacheId(i),
-                block,
-                retries: retries + 1,
-            });
-            let backoff_txns = match &mut self.faults {
-                Some(f) => {
-                    f.note_busy_wait_timeout();
-                    f.plan().backoff_txns(retries)
-                }
-                None => 1,
-            };
-            let hold = backoff_txns.saturating_mul(self.timing.signal_txn()).max(1);
-            self.phases[i] = Phase::Backoff {
-                op,
-                until: self.now + hold,
-                retries: retries + 1,
-                wait_since: Some(since),
-                issued_at,
-            };
         }
+        Ok(())
+    }
+
+    /// Converts processor `i`, if it is a waiter whose register has slept
+    /// for `timeout` cycles, into a backing-off explicit retry.
+    fn time_out_waiter(&mut self, i: usize, timeout: u64) -> Result<(), SimError> {
+        let (op, since, retries, issued_at) = match &self.phases[i] {
+            Phase::WaitingLock { op, since, retries, issued_at, armed_at, .. }
+                if !self.registers[i].wants_bus() && self.now >= *armed_at + timeout =>
+            {
+                (*op, *since, *retries, *issued_at)
+            }
+            _ => return Ok(()),
+        };
+        if retries + 1 > self.retry_bound {
+            return Err(SimError::Livelock { proc: i, bound: self.retry_bound });
+        }
+        self.disarm(i);
+        let block = self.geometry.block_of(op.addr);
+        self.emit(self.now, || Event::WaiterTimeout {
+            cache: CacheId(i),
+            block,
+            retries: retries + 1,
+        });
+        let backoff_txns = match &mut self.faults {
+            Some(f) => {
+                f.note_busy_wait_timeout();
+                f.plan().backoff_txns(retries)
+            }
+            None => 1,
+        };
+        let hold = backoff_txns.saturating_mul(self.timing.signal_txn()).max(1);
+        self.set_phase(i, Phase::Backoff {
+            op,
+            until: self.now + hold,
+            retries: retries + 1,
+            wait_since: Some(since),
+            issued_at,
+        });
         Ok(())
     }
 
@@ -920,17 +1140,17 @@ impl<P: Protocol> System<P> {
                     h.miss_service.record(self.now - issued_at + 1);
                 }
                 self.apply_local_hit(i, op, state, next, waited, workload)?;
-                self.phases[i] = Phase::Computing { until: self.now + 1 };
+                self.set_phase(i, Phase::Computing { until: self.now + 1 });
             }
             ProcAction::Bus { op: bus_op } => {
-                self.phases[i] = Phase::Pending {
+                self.set_phase(i, Phase::Pending {
                     op,
                     bus_op,
                     retries,
                     wait_since,
                     queued_at: self.now,
                     issued_at,
-                };
+                });
             }
         }
         Ok(())
@@ -963,14 +1183,14 @@ impl<P: Protocol> System<P> {
         {
             self.stats.per_proc[i].misses += 1;
             self.emit(self.now, || Event::ProcAccess { proc: ProcId(i), op, hit: false });
-            self.phases[i] = Phase::Pending {
+            self.set_phase(i, Phase::Pending {
                 op,
                 bus_op: BusOp::UnlockBroadcast,
                 retries: 0,
                 wait_since: None,
                 queued_at: self.now,
                 issued_at: self.now,
-            };
+            });
             return Ok(());
         }
         // The conditional store (optimistic RMW, method 3, Section F.3):
@@ -990,7 +1210,7 @@ impl<P: Protocol> System<P> {
             let result = AccessResult { value: None, hit: false, retries: 0, latency: 1, aborted: true };
             self.note_progress(i);
             workload.complete(ProcId(i), &op, &result, self.now);
-            self.phases[i] = Phase::Computing { until: self.now + 1 };
+            self.set_phase(i, Phase::Computing { until: self.now + 1 });
             return Ok(());
         }
         match self.protocol.proc_access(state, effective_kind) {
@@ -998,19 +1218,19 @@ impl<P: Protocol> System<P> {
                 self.stats.per_proc[i].hits += 1;
                 self.emit(self.now, || Event::ProcAccess { proc: ProcId(i), op, hit: true });
                 self.apply_local_hit(i, op, state, next, 0, workload)?;
-                self.phases[i] = Phase::Computing { until: self.now + 1 };
+                self.set_phase(i, Phase::Computing { until: self.now + 1 });
             }
             ProcAction::Bus { op: bus_op } => {
                 self.stats.per_proc[i].misses += 1;
                 self.emit(self.now, || Event::ProcAccess { proc: ProcId(i), op, hit: false });
-                self.phases[i] = Phase::Pending {
+                self.set_phase(i, Phase::Pending {
                     op,
                     bus_op,
                     retries: 0,
                     wait_since: None,
                     queued_at: self.now,
                     issued_at: self.now,
-                };
+                });
             }
         }
         Ok(())
@@ -1106,31 +1326,10 @@ impl<P: Protocol> System<P> {
         let n = self.phases.len();
         // Reserved high-priority level: woken busy-wait registers
         // (Figure 9). Then normal requests, round-robin fair.
-        let mut chosen: Option<(usize, bool)> = None;
-        for off in 0..n {
-            let i = (self.rr + off) % n;
-            if matches!(self.phases[i], Phase::WaitingLock { .. }) && self.registers[i].wants_bus()
-            {
-                // Fault choke point: an unfair arbiter skips its victim.
-                if self.faults.as_mut().is_some_and(|f| f.take_starved_grant(i)) {
-                    continue;
-                }
-                chosen = Some((i, true));
-                break;
-            }
-        }
-        if chosen.is_none() {
-            for off in 0..n {
-                let i = (self.rr + off) % n;
-                if matches!(self.phases[i], Phase::Pending { .. }) {
-                    if self.faults.as_mut().is_some_and(|f| f.take_starved_grant(i)) {
-                        continue;
-                    }
-                    chosen = Some((i, false));
-                    break;
-                }
-            }
-        }
+        let chosen = match pick(&self.woken, self.rr, &mut self.faults) {
+            Some(i) => Some((i, true)),
+            None => pick(&self.pending, self.rr, &mut self.faults).map(|i| (i, false)),
+        };
         let Some((i, hi)) = chosen else { return Ok(()) };
         self.rr = (i + 1) % n;
 
@@ -1146,8 +1345,7 @@ impl<P: Protocol> System<P> {
             _ => unreachable!("chosen processor has a request"),
         };
         if hi {
-            self.registers[i].disarm();
-            self.clear_watch(i);
+            self.disarm(i);
             self.stats.locks.wakeups += 1;
         }
         // Lock wait accumulated so far and arbitration wait for this grant;
@@ -1176,7 +1374,7 @@ impl<P: Protocol> System<P> {
                     if let Some(h) = &mut self.hists {
                         h.miss_service.record(self.now + duration - issued_at);
                     }
-                    self.phases[i] = Phase::InFlight { op, until: self.now + duration, result };
+                    self.set_phase(i, Phase::InFlight { op, until: self.now + duration, result });
                 }
                 _ => unreachable!("unlock broadcasts always complete"),
             }
@@ -1192,7 +1390,7 @@ impl<P: Protocol> System<P> {
             let result = AccessResult { value: None, hit: false, retries: 0, latency: 1, aborted: true };
             self.note_progress(i);
             workload.complete(ProcId(i), &op, &result, self.now);
-            self.phases[i] = Phase::Computing { until: self.now + 1 };
+            self.set_phase(i, Phase::Computing { until: self.now + 1 });
             return Ok(());
         }
         let effective_kind =
@@ -1206,7 +1404,7 @@ impl<P: Protocol> System<P> {
                     h.miss_service.record(self.now - issued_at + 1);
                 }
                 self.apply_local_hit(i, op, state, next, waited, workload)?;
-                self.phases[i] = Phase::Computing { until: self.now + 1 };
+                self.set_phase(i, Phase::Computing { until: self.now + 1 });
                 return Ok(());
             }
         };
@@ -1227,8 +1425,7 @@ impl<P: Protocol> System<P> {
                 if let Some(h) = &mut self.hists {
                     h.miss_service.record(self.now + duration - issued_at);
                 }
-                self.phases[i] =
-                    Phase::InFlight { op, until: self.now + duration, result };
+                self.set_phase(i, Phase::InFlight { op, until: self.now + duration, result });
             }
             TxnOut::InstalledRetry { duration } => {
                 self.stats.bus.busy_cycles += duration;
@@ -1243,14 +1440,14 @@ impl<P: Protocol> System<P> {
                 let new_state = self.caches[i].state_of(block);
                 match self.protocol.proc_access(new_state, op.kind) {
                     ProcAction::Bus { op: bus_op2 } => {
-                        self.phases[i] = Phase::Pending {
+                        self.set_phase(i, Phase::Pending {
                             op,
                             bus_op: bus_op2,
                             retries: retries + 1,
                             wait_since,
                             queued_at: self.now,
                             issued_at,
-                        };
+                        });
                     }
                     ProcAction::Hit { next } => {
                         // The second half completes locally (rare).
@@ -1258,7 +1455,7 @@ impl<P: Protocol> System<P> {
                             h.miss_service.record(self.now + duration - issued_at);
                         }
                         self.apply_local_hit(i, op, new_state, next, waited, workload)?;
-                        self.phases[i] = Phase::Computing { until: self.now + duration };
+                        self.set_phase(i, Phase::Computing { until: self.now + duration });
                     }
                 }
             }
@@ -1269,14 +1466,14 @@ impl<P: Protocol> System<P> {
                 }
                 self.stats.bus.busy_cycles += duration;
                 self.bus_free_at = self.now + duration;
-                self.phases[i] = Phase::Pending {
+                self.set_phase(i, Phase::Pending {
                     op,
                     bus_op,
                     retries: retries + 1,
                     wait_since,
                     queued_at: self.now,
                     issued_at,
-                };
+                });
             }
             TxnOut::Denied { duration } => {
                 let block = self.geometry.block_of(op.addr);
@@ -1287,16 +1484,15 @@ impl<P: Protocol> System<P> {
                 let behavior = workload.on_lock_wait(ProcId(i), block, self.now);
                 self.stats.bus.busy_cycles += duration;
                 self.bus_free_at = self.now + duration;
-                self.phases[i] = Phase::WaitingLock {
+                self.set_phase(i, Phase::WaitingLock {
                     op,
                     bus_op,
                     since: wait_since.unwrap_or(self.now),
                     behavior,
-                    worked: 0,
                     retries,
                     issued_at,
                     armed_at: self.now,
-                };
+                });
             }
         }
         Ok(())
@@ -1419,8 +1615,13 @@ impl<P: Protocol> System<P> {
             BusOp::UnlockBroadcast => self.broadcast_unlock(block, req),
             BusOp::Fetch { privilege: Privilege::Lock, .. } => {
                 for j in self.watch_targets() {
-                    if j != req {
+                    if j != req && self.registers[j].wants_bus() {
                         self.registers[j].observe_relock(block);
+                        if !self.registers[j].wants_bus() {
+                            // Back to sleep, off the high-priority level.
+                            self.woken.remove(j);
+                            self.schedule(j);
+                        }
                     }
                 }
             }
@@ -1839,6 +2040,8 @@ impl<P: Protocol> System<P> {
         }
         for j in self.watch_targets() {
             if j != req && self.registers[j].observe_unlock(block) {
+                self.woken.insert(j);
+                self.schedule(j);
                 self.woken_at[j] = self.now;
                 self.emit(self.now, || Event::WaiterWoken { cache: CacheId(j), block });
             }
@@ -1903,7 +2106,8 @@ impl<P: Protocol> System<P> {
         self.stats.bus.txns += 1;
         *self.stats.bus.by_op.entry(BusOp::IoInput.mnemonic()).or_default() += 1;
         let mut summary = SnoopSummary::default();
-        for j in 0..self.caches.len() {
+        // The same snoop path as `execute_txn`: only holders can tag-match.
+        for j in self.cache_targets(block) {
             let Some(before) = self.caches[j].state_if_resident(block) else { continue };
             let outcome = self.protocol.snoop(before, &txn);
             self.caches[j].set_state(block, outcome.next);
@@ -1941,7 +2145,7 @@ impl<P: Protocol> System<P> {
         *self.stats.bus.by_op.entry(op.mnemonic()).or_default() += 1;
         let mut summary = SnoopSummary::default();
         let mut supplier: Option<usize> = None;
-        for j in 0..self.caches.len() {
+        for j in self.cache_targets(block) {
             let Some(before) = self.caches[j].state_if_resident(block) else { continue };
             let outcome = self.protocol.snoop(before, &txn);
             self.caches[j].set_state(block, outcome.next);
@@ -2085,6 +2289,70 @@ impl<P: Protocol> System<P> {
             0,
             "cache holds a valid copy of {block} outside the holder mask {mask:#b} (valid {valid:#b})"
         );
+    }
+
+    /// Asserts that the event core agrees with a from-scratch scan of the
+    /// phases: the ready / pending / woken sets, the done and lock-waiter
+    /// counts, every processor's deadline and its live calendar entry, and
+    /// the next event, which the scan computes the way the engine did
+    /// before it kept a calendar. Runs after every step when the
+    /// `debug-checks` feature is on.
+    #[cfg(feature = "debug-checks")]
+    fn assert_event_core_consistent(&mut self, deadline: u64) {
+        let mut scheduled = vec![false; self.phases.len()];
+        for &Reverse((at, i)) in self.calendar.iter() {
+            scheduled[i] |= self.wake_at[i] == at;
+        }
+        assert!(self.due.is_empty(), "due set not drained by the step");
+        let floor = self.now + 1;
+        let mut t = deadline;
+        let mut bus_wanted = false;
+        let (mut done, mut lock_waiters) = (0, 0);
+        for (i, phase) in self.phases.iter().enumerate() {
+            let ready = matches!(phase, Phase::Ready);
+            let woken = matches!(phase, Phase::WaitingLock { .. }) && self.registers[i].wants_bus();
+            assert_eq!(self.ready.contains(i), ready, "ready set diverged at P{i}: {phase:?}");
+            assert_eq!(
+                self.pending.contains(i),
+                matches!(phase, Phase::Pending { .. }),
+                "pending set diverged at P{i}: {phase:?}"
+            );
+            assert_eq!(self.woken.contains(i), woken, "woken set diverged at P{i}: {phase:?}");
+            done += usize::from(matches!(phase, Phase::Done));
+            lock_waiters += u64::from(phase.is_lock_waiter());
+            let wake = self.wake_at[i];
+            if !ready {
+                assert_eq!(wake, self.phase_deadline(i), "deadline diverged at P{i}: {phase:?}");
+            }
+            assert!(
+                wake == u64::MAX || scheduled[i],
+                "P{i}'s deadline {wake} is missing from the calendar"
+            );
+            match phase {
+                Phase::Computing { until }
+                | Phase::InFlight { until, .. }
+                | Phase::Backoff { until, .. } => t = t.min((*until).max(floor)),
+                Phase::Pending { .. } => bus_wanted = true,
+                Phase::WaitingLock { .. } if woken => bus_wanted = true,
+                Phase::WaitingLock { armed_at, .. } => {
+                    if let Some(to) = self.bw_timeout {
+                        t = t.min((armed_at + to).max(floor));
+                    }
+                }
+                // The hint of this step's poll.
+                Phase::Ready if wake != u64::MAX => t = t.min(wake.max(floor)),
+                _ => {}
+            }
+        }
+        assert_eq!(self.done, done, "done count diverged");
+        assert_eq!(self.lock_waiters, lock_waiters, "lock-waiter count diverged");
+        if bus_wanted {
+            t = t.min(self.bus_free_at.max(floor));
+        }
+        if let Some(wd) = &self.watchdog {
+            t = t.min(wd.next_check_at().max(floor));
+        }
+        assert_eq!(self.next_event(deadline), t.max(floor), "next event diverged from a full scan");
     }
 
     /// Verifies the holder bitmask against true residency for **every**
