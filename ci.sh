@@ -7,6 +7,22 @@
 set -euo pipefail
 cd "$(dirname "$0")"
 
+# Informational, never fails: non-test lines per crate, counting each
+# `src` file up to its first `#[cfg(test)]` line (blank and comment lines
+# included), so size changes sit next to the benchmark numbers.
+echo "ci.sh: non-test lines per crate"
+total=0
+for dir in crates/*/; do
+  lines=$(find "$dir/src" -name '*.rs' -print0 | xargs -0 awk '
+    FNR == 1 { in_test = 0 }
+    /^[[:space:]]*#\[cfg\(test\)\]/ { in_test = 1 }
+    !in_test { n++ }
+    END { print n + 0 }')
+  printf '  %-12s %6d\n' "$(basename "$dir")" "$lines"
+  total=$((total + lines))
+done
+printf '  %-12s %6d\n' total "$total"
+
 # Feature matrix. A workspace-wide build unifies mcs-sim's default
 # `debug-checks` feature on (the `mcs` root package re-enables it), so the
 # oracles and invariant sweeps compile everywhere tests run. Building

@@ -12,14 +12,17 @@
 //!
 //! With no output flag, `--summary` is implied. `--json-trace` streams the
 //! cycle-stamped JSONL event log (byte-stable for a fixed configuration);
-//! `--histograms` and `--timeline` emit one JSON object each. `validate`
-//! re-parses a JSONL file with the in-tree validator and checks that every
-//! line is well-formed JSON, the first line is a `meta` header, and event
-//! cycles are monotonically non-decreasing — the same checks `ci.sh` runs
-//! on a fresh trace.
+//! `--histograms` and `--timeline` emit one JSON object each. A zero
+//! `--window` and the `cache-lock` scheme on a protocol without a lock
+//! state are rejected like any other bad argument: usage on stderr, exit 2.
+//! `validate` re-parses a JSONL file with the in-tree validator and checks
+//! that every line is well-formed JSON, the first line is a `meta` header,
+//! and event cycles are monotonically non-decreasing — the same checks
+//! `ci.sh` runs on a fresh trace.
 
 use mcs_bench::obsrun::{run_observed, ObsPreset, ObsSpec};
-use mcs_core::ProtocolKind;
+use mcs_core::{with_protocol, ProtocolKind};
+use mcs_model::Protocol as _;
 use mcs_obs::validate_line;
 use mcs_sync::LockSchemeKind;
 use std::io::Write as _;
@@ -137,6 +140,10 @@ fn main() -> ExitCode {
             }
             "--window" => {
                 spec.window = value(&mut it, "--window").parse().unwrap_or_else(|_| usage());
+                if spec.window == 0 {
+                    eprintln!("--window must be at least 1 cycle");
+                    usage();
+                }
             }
             "--out" => out_path = Some(value(&mut it, "--out")),
             "--summary" => summary = true,
@@ -149,6 +156,14 @@ fn main() -> ExitCode {
                 usage();
             }
         }
+    }
+    // Without a lock state nothing would enforce mutual exclusion: the run
+    // would "complete" every section with no lock ever held.
+    if spec.scheme == LockSchemeKind::CacheLock
+        && !with_protocol!(spec.kind, p => p.features().distributed.lock)
+    {
+        eprintln!("protocol `{}` has no lock state for the `cache-lock` scheme", spec.kind.id());
+        usage();
     }
     if !(summary || json_trace || histograms || timeline) {
         summary = true;

@@ -13,6 +13,7 @@ use super::{run_cs, CsOutcome};
 use crate::report::{f, Report};
 use mcs_core::ProtocolKind;
 use mcs_sync::LockSchemeKind;
+use mcs_workloads::CriticalSectionBuilder;
 
 /// The compared configurations.
 pub const CONTENDERS: [(ProtocolKind, LockSchemeKind); 4] = [
@@ -22,11 +23,15 @@ pub const CONTENDERS: [(ProtocolKind, LockSchemeKind); 4] = [
     (ProtocolKind::Berkeley, LockSchemeKind::TestAndSet),
 ];
 
+/// The E2 sections: one lock, one payload block read and written twice,
+/// think 30, 20 iterations. `obsreport`'s `e2` preset observes the same.
+pub fn configure(b: CriticalSectionBuilder) -> CriticalSectionBuilder {
+    b.locks(1).payload_blocks(1).payload_reads(2).payload_writes(2).think_cycles(30).iterations(20)
+}
+
 /// Moderate contention: four processors, one lock, short sections.
 pub fn measure(kind: ProtocolKind, scheme: LockSchemeKind) -> CsOutcome {
-    run_cs(kind, 4, scheme, 4, 64, |b| {
-        b.locks(1).payload_blocks(1).payload_reads(2).payload_writes(2).think_cycles(30).iterations(20)
-    })
+    run_cs(kind, 4, scheme, 4, 64, configure)
 }
 
 /// Uncontended repeated re-locking by one processor: the zero-time path.

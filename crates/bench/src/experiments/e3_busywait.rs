@@ -15,27 +15,27 @@ use super::{run_cs, CsOutcome};
 use crate::report::{f, Report};
 use mcs_core::ProtocolKind;
 use mcs_sync::LockSchemeKind;
+use mcs_workloads::CriticalSectionBuilder;
 
 /// Contention sweep: processor counts.
 pub const PROC_SWEEP: [usize; 4] = [2, 4, 6, 8];
 
-/// One sweep point under heavy contention (one lock, no think time).
+/// The E3 sections: one lock, one payload block read once and written
+/// twice, think 10, 12 iterations. `obsreport`'s `e3` preset observes the
+/// same.
+pub fn configure(b: CriticalSectionBuilder) -> CriticalSectionBuilder {
+    b.locks(1).payload_blocks(1).payload_reads(1).payload_writes(2).think_cycles(10).iterations(12)
+}
+
+/// One sweep point under heavy contention (one lock, short think time).
 pub fn measure(kind: ProtocolKind, scheme: LockSchemeKind, procs: usize) -> CsOutcome {
-    run_cs(kind, procs, scheme, 4, 64, |b| {
-        b.locks(1).payload_blocks(1).payload_reads(1).payload_writes(2).think_cycles(10).iterations(12)
-    })
+    run_cs(kind, procs, scheme, 4, 64, configure)
 }
 
 /// The work-while-waiting variant: waiters run a ready section.
 pub fn measure_work_while_waiting(procs: usize) -> CsOutcome {
     run_cs(ProtocolKind::BitarDespain, procs, LockSchemeKind::CacheLock, 4, 64, |b| {
-        b.locks(1)
-            .payload_blocks(1)
-            .payload_reads(1)
-            .payload_writes(2)
-            .think_cycles(10)
-            .iterations(12)
-            .work_while_waiting(1_000_000)
+        configure(b).work_while_waiting(1_000_000)
     })
 }
 

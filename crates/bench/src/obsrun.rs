@@ -8,6 +8,7 @@
 //! experiments (E2 locking cost, E3 efficient busy wait) so a JSONL trace
 //! or timeline can be read side by side with the corresponding report row.
 
+use crate::experiments::{e2_locking, e3_busywait};
 use crate::harness::RunSpec;
 use mcs_core::ProtocolKind;
 use mcs_model::Stats;
@@ -106,18 +107,10 @@ impl ObsSpec {
 
     fn workload(&self) -> CriticalSectionWorkload {
         let words = if self.kind.requires_word_blocks() { 1 } else { 4 };
-        let b = CriticalSectionWorkload::builder()
-            .scheme(self.scheme)
-            .words_per_block(words)
-            .locks(1)
-            .payload_blocks(1);
+        let b = CriticalSectionWorkload::builder().scheme(self.scheme).words_per_block(words);
         match self.preset {
-            ObsPreset::E2 => {
-                b.payload_reads(2).payload_writes(2).think_cycles(30).iterations(20)
-            }
-            ObsPreset::E3 => {
-                b.payload_reads(1).payload_writes(2).think_cycles(10).iterations(12)
-            }
+            ObsPreset::E2 => e2_locking::configure(b),
+            ObsPreset::E3 => e3_busywait::configure(b),
         }
         .build()
     }

@@ -1,6 +1,7 @@
-//! The artifact binaries reject bad input: an unknown experiment id or a
-//! figure number outside 1–11 prints usage to stderr and exits 2, with
-//! nothing on stdout.
+//! The artifact binaries reject bad input: an unknown experiment id, a
+//! figure number outside 1–11, a zero `obsreport` window or a `cache-lock`
+//! run on a protocol without a lock state prints usage to stderr and exits
+//! 2, with nothing on stdout.
 
 use std::process::{Command, Output};
 
@@ -43,4 +44,28 @@ fn figures_prints_only_the_requested_figure() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("==== Figure 11."));
     assert_eq!(text.matches("==== Figure").count(), 1);
+}
+
+#[test]
+fn obsreport_rejects_a_zero_window() {
+    let obsreport = env!("CARGO_BIN_EXE_obsreport");
+    assert_usage_error(&run(obsreport, &["--window", "0"]));
+    assert_usage_error(&run(obsreport, &["--window", "0", "--json-trace"]));
+}
+
+#[test]
+fn obsreport_rejects_cache_lock_without_a_lock_state() {
+    let obsreport = env!("CARGO_BIN_EXE_obsreport");
+    for args in [
+        &["--protocol", "illinois", "--scheme", "cache-lock"][..],
+        &["--scheme", "cache-lock", "--protocol", "goodman"],
+    ] {
+        assert_usage_error(&run(obsreport, args));
+    }
+    // The default pairing, and cache-lock on the lock-state protocol, run.
+    for args in [&["--protocol", "illinois", "--window", "1"][..], &["--scheme", "cache-lock"]] {
+        let out = run(obsreport, args);
+        assert!(out.status.success(), "{args:?}: {}", String::from_utf8_lossy(&out.stderr));
+        assert!(String::from_utf8_lossy(&out.stdout).contains("observed run"));
+    }
 }

@@ -253,11 +253,6 @@ impl<S: LineState> Cache<S> {
         self.find_way(block).map(|idx| self.line_ref(idx))
     }
 
-    /// Mutable lookup.
-    pub fn lookup_mut(&mut self, block: BlockAddr) -> Option<LineMut<'_, S>> {
-        self.find_way(block).map(|idx| self.line_mut(idx))
-    }
-
     /// Whether a frame (valid or invalid copy) holds `block`.
     #[inline]
     pub fn is_resident(&self, block: BlockAddr) -> bool {
@@ -526,7 +521,6 @@ impl<S: LineState> Cache<S> {
 mod tests {
     use super::*;
     use mcs_model::{Privilege, StateDescriptor};
-    use std::fmt;
 
     /// A minimal test state: Invalid / Read / Write / Lock.
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -537,13 +531,15 @@ mod tests {
         L,
     }
 
-    impl fmt::Display for TS {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "{self:?}")
-        }
-    }
-
     impl LineState for TS {
+        fn name(self) -> &'static str {
+            match self {
+                TS::I => "I",
+                TS::R => "R",
+                TS::W => "W",
+                TS::L => "L",
+            }
+        }
         fn invalid() -> Self {
             TS::I
         }

@@ -45,7 +45,6 @@ use mcs_model::{
     SharingDetermination, SnoopOutcome, SnoopReply, SnoopSummary, SourcePolicy, StateDescriptor,
     WritePolicy,
 };
-use std::fmt;
 
 /// The eight cache-line states of the Bitar-Despain protocol (Section E.1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -70,9 +69,9 @@ pub enum BitarState {
     LockSourceDirtyWaiter,
 }
 
-impl fmt::Display for BitarState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl LineState for BitarState {
+    fn name(self) -> &'static str {
+        match self {
             BitarState::Invalid => "I",
             BitarState::Read => "R",
             BitarState::ReadSourceClean => "RSC",
@@ -81,11 +80,9 @@ impl fmt::Display for BitarState {
             BitarState::WriteSourceDirty => "WSD",
             BitarState::LockSourceDirty => "LSD",
             BitarState::LockSourceDirtyWaiter => "LSDW",
-        })
+        }
     }
-}
 
-impl LineState for BitarState {
     fn invalid() -> Self {
         BitarState::Invalid
     }

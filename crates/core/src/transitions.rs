@@ -261,10 +261,11 @@ pub fn render() -> String {
     for a in proc_arcs() {
         match a.action {
             ProcArcAction::Local(next) => {
-                let _ = writeln!(out, "{:>5} --{}--> {}  (local)", a.from.to_string(), a.kind, next);
+                let (from, next) = (a.from.name(), next.name());
+                let _ = writeln!(out, "{from:>5} --{}--> {next}  (local)", a.kind);
             }
             ProcArcAction::Bus(op) => {
-                let _ = writeln!(out, "{:>5} --{}--> [bus: {}]", a.from.to_string(), a.kind, op);
+                let _ = writeln!(out, "{:>5} --{}--> [bus: {}]", a.from.name(), a.kind, op);
             }
         }
     }
@@ -281,13 +282,13 @@ pub fn render() -> String {
             notes.push("LOCKED");
         }
         let notes = if notes.is_empty() { String::new() } else { format!("  ({})", notes.join(", ")) };
-        let _ = writeln!(out, "{:>5} --{}--> {}{notes}", a.from.to_string(), a.op, a.to);
+        let _ = writeln!(out, "{:>5} --{}--> {}{notes}", a.from.name(), a.op, a.to.name());
     }
     let _ = writeln!(out, "\n-- Completion arcs (request x snoop summary -> state) --");
     for a in complete_arcs() {
         let result = match a.outcome {
-            CompleteOutcome::Installed { next } => next.to_string(),
-            CompleteOutcome::InstalledRetryOp { next } => format!("{next} (retry op)"),
+            CompleteOutcome::Installed { next } => next.name().to_string(),
+            CompleteOutcome::InstalledRetryOp { next } => format!("{} (retry op)", next.name()),
             CompleteOutcome::Retry => "RETRY".into(),
             CompleteOutcome::LockDenied => "DENIED -> busy wait".into(),
         };
@@ -316,7 +317,8 @@ mod tests {
     fn all_eight_states_reachable_from_invalid() {
         let reached = reachable_states();
         for &s in BitarState::all() {
-            assert!(reached.contains(&s), "state {s} unreachable — missing arc (a Figure 10 bug)");
+            let name = s.name();
+            assert!(reached.contains(&s), "state {name} unreachable — missing arc (a Figure 10 bug)");
         }
     }
 
@@ -412,7 +414,7 @@ mod tests {
     fn render_mentions_every_state() {
         let s = render();
         for state in BitarState::all() {
-            assert!(s.contains(&state.to_string()));
+            assert!(s.contains(state.name()));
         }
         assert!(s.contains("LOCKED"));
         assert!(s.contains("busy wait"));

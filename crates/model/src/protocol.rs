@@ -124,9 +124,11 @@ impl fmt::Display for StateDescriptor {
 }
 
 /// Implemented by each protocol's cache-line state enum.
-pub trait LineState:
-    Copy + Eq + Hash + fmt::Debug + fmt::Display + Send + Sync + 'static
-{
+pub trait LineState: Copy + Eq + Hash + fmt::Debug + Send + Sync + 'static {
+    /// The state's short name as the paper's figures print it (e.g.
+    /// `"WSD"`); traces record it without allocating.
+    fn name(self) -> &'static str;
+
     /// The invalid state.
     fn invalid() -> Self;
 

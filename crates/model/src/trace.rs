@@ -1,8 +1,11 @@
 //! Event tracing, used to regenerate the paper's Figures 1–9 as textual
 //! protocol scenarios and to debug protocol implementations.
 //!
-//! States are recorded as display strings so one trace type serves every
-//! protocol.
+//! States are recorded by their static names ([`LineState::name`]), so one
+//! trace type serves every protocol and an [`Event`] is a small `Copy`
+//! value that owns no heap memory.
+//!
+//! [`LineState::name`]: crate::LineState::name
 
 use crate::bus::{BusTxn, SnoopSummary};
 use crate::ops::ProcOp;
@@ -35,7 +38,7 @@ impl fmt::Display for StateCause {
 }
 
 /// One traced simulation event.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum Event {
     /// A processor presented an access to its cache.
     ProcAccess {
@@ -61,10 +64,10 @@ pub enum Event {
         cache: CacheId,
         /// Which block.
         block: BlockAddr,
-        /// Previous state (display form).
-        from: String,
-        /// New state (display form).
-        to: String,
+        /// Previous state's name.
+        from: &'static str,
+        /// New state's name.
+        to: &'static str,
         /// What caused the change.
         cause: StateCause,
     },
@@ -167,8 +170,14 @@ pub enum Event {
         /// Cycles since that processor last retired a reference.
         stalled_for: u64,
     },
-    /// Free-form annotation (used by scenario drivers).
-    Note(String),
+    /// A locked block was purged from a cache and its lock bit written
+    /// to memory (Section E.3); the holder keeps the lock.
+    LockSpilled {
+        /// The holder's cache.
+        cache: CacheId,
+        /// Which block.
+        block: BlockAddr,
+    },
 }
 
 impl fmt::Display for Event {
@@ -232,7 +241,9 @@ impl fmt::Display for Event {
                 }
                 Ok(())
             }
-            Event::Note(s) => write!(f, "-- {s}"),
+            Event::LockSpilled { cache, block } => {
+                write!(f, "-- {cache} spills lock bit for {block} to memory")
+            }
         }
     }
 }
@@ -314,7 +325,7 @@ impl Trace {
 
     /// The retained events as an owned, ordered vector.
     pub fn to_vec(&self) -> Vec<(u64, Event)> {
-        self.events.iter().cloned().collect()
+        self.events.iter().copied().collect()
     }
 
     /// Iterates events matching `pred`.
@@ -357,7 +368,7 @@ mod tests {
     #[test]
     fn disabled_trace_records_nothing() {
         let mut t = Trace::disabled();
-        t.push(1, Event::Note("x".into()));
+        t.push(1, Event::MemoryProvides { block: BlockAddr(0) });
         assert!(t.is_empty());
         assert!(!t.is_enabled());
     }
@@ -365,7 +376,7 @@ mod tests {
     #[test]
     fn enabled_trace_records_in_order() {
         let mut t = Trace::enabled();
-        t.push(1, Event::Note("a".into()));
+        t.push(1, Event::MemoryProvides { block: BlockAddr(0) });
         t.push(5, Event::MemoryProvides { block: BlockAddr(2) });
         let events = t.to_vec();
         assert_eq!(events.len(), 2);
@@ -381,7 +392,7 @@ mod tests {
         let mut t = Trace::bounded(3);
         assert_eq!(t.capacity(), Some(3));
         for c in 0..5 {
-            t.push(c, Event::Note(format!("e{c}")));
+            t.push(c, Event::MemoryProvides { block: BlockAddr(c) });
         }
         assert_eq!(t.len(), 3);
         assert_eq!(t.dropped(), 2);
@@ -397,8 +408,8 @@ mod tests {
     #[test]
     fn bounded_capacity_is_clamped_to_one() {
         let mut t = Trace::bounded(0);
-        t.push(0, Event::Note("a".into()));
-        t.push(1, Event::Note("b".into()));
+        t.push(0, Event::MemoryProvides { block: BlockAddr(0) });
+        t.push(1, Event::MemoryProvides { block: BlockAddr(1) });
         assert_eq!(t.len(), 1);
         assert_eq!(t.dropped(), 1);
         assert_eq!(t.to_vec()[0].0, 1);
@@ -407,11 +418,11 @@ mod tests {
     #[test]
     fn filter_selects_events() {
         let mut t = Trace::enabled();
-        t.push(0, Event::Note("a".into()));
+        t.push(0, Event::MemoryProvides { block: BlockAddr(0) });
         t.push(1, Event::Flush { cache: CacheId(0), block: BlockAddr(1) });
-        t.push(2, Event::Note("b".into()));
-        let notes: Vec<_> = t.filter(|e| matches!(e, Event::Note(_))).collect();
-        assert_eq!(notes.len(), 2);
+        t.push(2, Event::MemoryProvides { block: BlockAddr(1) });
+        let provides: Vec<_> = t.filter(|e| matches!(e, Event::MemoryProvides { .. })).collect();
+        assert_eq!(provides.len(), 2);
     }
 
     #[test]
@@ -445,10 +456,19 @@ mod tests {
         let e = Event::StateChange {
             cache: CacheId(0),
             block: BlockAddr(3),
-            from: "Invalid".into(),
-            to: "Read".into(),
+            from: "Invalid",
+            to: "Read",
             cause: StateCause::Complete,
         };
         assert_eq!(e.to_string(), "C0 B0x3: Invalid -> Read (complete)");
+        let e = Event::LockSpilled { cache: CacheId(2), block: BlockAddr(0x10) };
+        assert_eq!(e.to_string(), "-- C2 spills lock bit for B0x10 to memory");
+    }
+
+    #[test]
+    fn events_are_small_copy_values() {
+        fn is_copy<T: Copy>() {}
+        is_copy::<Event>();
+        assert!(std::mem::size_of::<Event>() <= 64, "{}", std::mem::size_of::<Event>());
     }
 }

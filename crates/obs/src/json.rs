@@ -31,13 +31,6 @@ pub fn escape_into(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// `s` as a JSON string literal.
-pub fn escaped(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    escape_into(&mut out, s);
-    out
-}
-
 /// One parsed-and-validated JSONL line: syntactic validity plus the values
 /// of the top-level `"cycle"` and `"meta"` keys, which is all the trace
 /// tooling needs.
@@ -291,6 +284,12 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn escaped(s: &str) -> String {
+        let mut out = String::new();
+        escape_into(&mut out, s);
+        out
+    }
 
     #[test]
     fn escapes_quotes_backslashes_and_controls() {

@@ -27,9 +27,6 @@ pub mod sink;
 pub mod timeline;
 
 pub use hist::{bucket_bounds, bucket_index, Hist64, LatencyHists, BUCKETS};
-pub use json::{escape_into, escaped, validate_line, ValidLine};
-pub use sink::{
-    event_json, event_json_into, CountingSink, EventSink, FanoutSink, JsonlSink, RunMeta,
-    SharedBuf,
-};
+pub use json::{escape_into, validate_line, ValidLine};
+pub use sink::{event_json_into, EventSink, JsonlSink, RunMeta, SharedBuf};
 pub use timeline::{IntervalSampler, Window, DEFAULT_WINDOW};

@@ -28,64 +28,6 @@ pub trait EventSink: Send {
     fn finish(&mut self) {}
 }
 
-/// Fan-out: one sink that forwards to many.
-#[derive(Default)]
-pub struct FanoutSink {
-    sinks: Vec<Box<dyn EventSink>>,
-}
-
-impl FanoutSink {
-    /// An empty fan-out.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Adds a downstream sink.
-    pub fn push(&mut self, sink: Box<dyn EventSink>) {
-        self.sinks.push(sink);
-    }
-
-    /// Number of downstream sinks.
-    pub fn len(&self) -> usize {
-        self.sinks.len()
-    }
-
-    /// Whether the fan-out has no downstream sinks.
-    pub fn is_empty(&self) -> bool {
-        self.sinks.is_empty()
-    }
-}
-
-impl EventSink for FanoutSink {
-    fn record(&mut self, cycle: u64, event: &Event) {
-        for s in &mut self.sinks {
-            s.record(cycle, event);
-        }
-    }
-
-    fn finish(&mut self) {
-        for s in &mut self.sinks {
-            s.finish();
-        }
-    }
-}
-
-/// A sink that only counts, for overhead measurement and tests.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct CountingSink {
-    /// Events observed.
-    pub events: u64,
-    /// Cycle of the last event.
-    pub last_cycle: u64,
-}
-
-impl EventSink for CountingSink {
-    fn record(&mut self, cycle: u64, _event: &Event) {
-        self.events += 1;
-        self.last_cycle = cycle;
-    }
-}
-
 /// A cheaply clonable in-memory byte buffer implementing [`io::Write`],
 /// for capturing JSONL output in tests and in-process tooling.
 #[derive(Debug, Default, Clone)]
@@ -201,12 +143,6 @@ impl<W: io::Write + Send> JsonlSink<W> {
     pub fn lines(&self) -> u64 {
         self.lines
     }
-
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> W {
-        self.out.flush().expect("jsonl sink: flush");
-        self.out
-    }
 }
 
 impl<W: io::Write + Send> EventSink for JsonlSink<W> {
@@ -223,10 +159,12 @@ impl<W: io::Write + Send> EventSink for JsonlSink<W> {
     }
 }
 
-fn agent_json(a: AgentId) -> String {
+fn agent_json(out: &mut String, a: AgentId) {
     match a {
-        AgentId::Cache(c) => format!("\"C{}\"", c.0),
-        AgentId::Io => "\"io\"".to_string(),
+        AgentId::Cache(c) => {
+            let _ = write!(out, "\"C{}\"", c.0);
+        }
+        AgentId::Io => out.push_str("\"io\""),
     }
 }
 
@@ -242,8 +180,8 @@ fn op_fields(out: &mut String, op: &ProcOp) {
 
 /// Serializes one event as a single JSON object appended to `out`.
 ///
-/// Every variant of [`Event`] has an explicit, documented shape; free-form
-/// strings (state names, notes) are escaped.
+/// Every variant of [`Event`] has an explicit, documented shape; state
+/// names are escaped. Nothing is allocated beyond growing `out`.
 pub fn event_json_into(out: &mut String, cycle: u64, event: &Event) {
     let _ = write!(out, "{{\"cycle\":{cycle},\"type\":");
     match event {
@@ -255,18 +193,25 @@ pub fn event_json_into(out: &mut String, cycle: u64, event: &Event) {
         Event::Bus { txn, summary, duration } => {
             let _ = write!(
                 out,
-                "\"bus\",\"op\":\"{}\",\"block\":{},\"requester\":{},\"high_priority\":{},\"duration\":{duration}",
+                "\"bus\",\"op\":\"{}\",\"block\":{},\"requester\":",
                 txn.op.mnemonic(),
                 txn.block.0,
-                agent_json(txn.requester),
-                txn.high_priority,
             );
+            agent_json(out, txn.requester);
             let _ = write!(
                 out,
-                ",\"any_hit\":{},\"sharers\":{},\"source_dirty\":{},\"data_from_cache\":{},\"locked\":{},\"memory_inhibited\":{},\"flushes\":{},\"retry\":{}",
-                summary.any_hit,
-                summary.sharers,
-                summary.source_dirty.map_or("null".to_string(), |d| d.to_string()),
+                ",\"high_priority\":{},\"duration\":{duration},\"any_hit\":{},\"sharers\":{},\"source_dirty\":",
+                txn.high_priority, summary.any_hit, summary.sharers,
+            );
+            match summary.source_dirty {
+                Some(d) => {
+                    let _ = write!(out, "{d}");
+                }
+                None => out.push_str("null"),
+            }
+            let _ = write!(
+                out,
+                ",\"data_from_cache\":{},\"locked\":{},\"memory_inhibited\":{},\"flushes\":{},\"retry\":{}",
                 summary.data_from_cache,
                 summary.locked,
                 summary.memory_inhibited,
@@ -348,19 +293,14 @@ pub fn event_json_into(out: &mut String, cycle: u64, event: &Event) {
             }
             let _ = write!(out, ",\"stalled_for\":{stalled_for}");
         }
-        Event::Note(s) => {
-            out.push_str("\"note\",\"text\":");
-            escape_into(out, s);
+        Event::LockSpilled { cache, block } => {
+            let _ = write!(
+                out,
+                "\"note\",\"text\":\"{cache} spills lock bit for {block} to memory\""
+            );
         }
     }
     out.push('}');
-}
-
-/// One event as a JSON object string.
-pub fn event_json(cycle: u64, event: &Event) -> String {
-    let mut out = String::with_capacity(128);
-    event_json_into(&mut out, cycle, event);
-    out
 }
 
 #[cfg(test)]
@@ -402,8 +342,8 @@ mod tests {
             Event::StateChange {
                 cache: CacheId(0),
                 block: BlockAddr(7),
-                from: "weird \"state\"\\".into(),
-                to: "ctrl\u{01}\n".into(),
+                from: "weird \"state\"\\",
+                to: "ctrl\u{01}\n",
                 cause: StateCause::Snoop,
             },
             Event::MemoryProvides { block: BlockAddr(1) },
@@ -433,17 +373,30 @@ mod tests {
                 block: None,
                 stalled_for: 64_000,
             },
-            Event::Note("quotes \" backslash \\ newline \n bell \u{07} done".into()),
+            Event::LockSpilled { cache: CacheId(3), block: BlockAddr(0x2a) },
         ]
     }
 
     #[test]
     fn every_event_variant_serializes_to_valid_json() {
+        let mut line = String::new();
         for (i, e) in sample_events().iter().enumerate() {
-            let line = event_json(i as u64, e);
+            line.clear();
+            event_json_into(&mut line, i as u64, e);
             let v = validate_line(&line).unwrap_or_else(|err| panic!("{line}: {err}"));
             assert_eq!(v.cycle, Some(i as u64), "cycle must round-trip: {line}");
         }
+    }
+
+    #[test]
+    fn lock_spill_serializes_as_its_note_line() {
+        let mut line = String::new();
+        let spill = Event::LockSpilled { cache: CacheId(3), block: BlockAddr(0x2a) };
+        event_json_into(&mut line, 7, &spill);
+        assert_eq!(
+            line,
+            r#"{"cycle":7,"type":"note","text":"C3 spills lock bit for B0x2a to memory"}"#
+        );
     }
 
     #[test]
@@ -455,7 +408,7 @@ mod tests {
             .with_str("note", "escaped \"quote\"");
         let mut sink = JsonlSink::new(buf.clone(), &meta);
         sink.record(5, &Event::MemoryProvides { block: BlockAddr(1) });
-        sink.record(9, &Event::Note("x".into()));
+        sink.record(9, &Event::LockSpilled { cache: CacheId(0), block: BlockAddr(1) });
         sink.finish();
         assert_eq!(sink.lines(), 3);
         let text = buf.contents();
@@ -466,25 +419,5 @@ mod tests {
         assert!(lines[0].contains("\"protocol\":\"bitar-despain\""));
         assert_eq!(validate_line(lines[1]).unwrap().cycle, Some(5));
         assert_eq!(validate_line(lines[2]).unwrap().cycle, Some(9));
-    }
-
-    #[test]
-    fn fanout_forwards_to_all() {
-        // CountingSink is Copy, so hold shared buffers instead.
-        struct Probe(Arc<Mutex<u64>>);
-        impl EventSink for Probe {
-            fn record(&mut self, _cycle: u64, _event: &Event) {
-                *self.0.lock().unwrap() += 1;
-            }
-        }
-        let (a, b) = (Arc::new(Mutex::new(0)), Arc::new(Mutex::new(0)));
-        let mut fan = FanoutSink::new();
-        fan.push(Box::new(Probe(a.clone())));
-        fan.push(Box::new(Probe(b.clone())));
-        assert_eq!(fan.len(), 2);
-        fan.record(1, &Event::Note("x".into()));
-        fan.record(2, &Event::Note("y".into()));
-        assert_eq!(*a.lock().unwrap(), 2);
-        assert_eq!(*b.lock().unwrap(), 2);
     }
 }

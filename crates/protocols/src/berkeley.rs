@@ -23,7 +23,6 @@ use mcs_model::{
     SharingDetermination, SnoopOutcome, SnoopReply, SnoopSummary, SourcePolicy, StateDescriptor,
     WritePolicy,
 };
-use std::fmt;
 
 /// Cache-line states of the Berkeley protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -41,19 +40,17 @@ pub enum BerkeleyState {
     Dirty,
 }
 
-impl fmt::Display for BerkeleyState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl LineState for BerkeleyState {
+    fn name(self) -> &'static str {
+        match self {
             BerkeleyState::Invalid => "I",
             BerkeleyState::Shared => "S",
             BerkeleyState::SharedDirty => "SD",
             BerkeleyState::WriteClean => "WC",
             BerkeleyState::Dirty => "D",
-        })
+        }
     }
-}
 
-impl LineState for BerkeleyState {
     fn invalid() -> Self {
         BerkeleyState::Invalid
     }

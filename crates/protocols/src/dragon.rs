@@ -13,7 +13,6 @@ use mcs_model::{
     FlushPolicy, LineState, Privilege, ProcAction, Protocol, SharingDetermination, SnoopOutcome,
     SnoopReply, SnoopSummary, SourcePolicy, StateDescriptor, WritePolicy,
 };
-use std::fmt;
 
 /// Cache-line states of the Dragon protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -31,19 +30,17 @@ pub enum DragonState {
     Dirty,
 }
 
-impl fmt::Display for DragonState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl LineState for DragonState {
+    fn name(self) -> &'static str {
+        match self {
             DragonState::Invalid => "I",
             DragonState::Exclusive => "E",
             DragonState::SharedClean => "Sc",
             DragonState::SharedModified => "Sm",
             DragonState::Dirty => "D",
-        })
+        }
     }
-}
 
-impl LineState for DragonState {
     fn invalid() -> Self {
         DragonState::Invalid
     }

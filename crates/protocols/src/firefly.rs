@@ -12,7 +12,6 @@ use mcs_model::{
     FlushPolicy, LineState, Privilege, ProcAction, Protocol, SharingDetermination, SnoopOutcome,
     SnoopReply, SnoopSummary, SourcePolicy, StateDescriptor, WritePolicy,
 };
-use std::fmt;
 
 /// Cache-line states of the Firefly protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -27,18 +26,16 @@ pub enum FireflyState {
     Dirty,
 }
 
-impl fmt::Display for FireflyState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl LineState for FireflyState {
+    fn name(self) -> &'static str {
+        match self {
             FireflyState::Invalid => "I",
             FireflyState::Exclusive => "E",
             FireflyState::Shared => "S",
             FireflyState::Dirty => "D",
-        })
+        }
     }
-}
 
-impl LineState for FireflyState {
     fn invalid() -> Self {
         FireflyState::Invalid
     }

@@ -21,7 +21,6 @@ use mcs_model::{
     FlushPolicy, LineState, Privilege, ProcAction, Protocol, SnoopOutcome, SnoopReply,
     SnoopSummary, SourcePolicy, StateDescriptor, UpdateTarget,
 };
-use std::fmt;
 
 /// Cache-line states of write-once.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -37,18 +36,16 @@ pub enum GoodmanState {
     Dirty,
 }
 
-impl fmt::Display for GoodmanState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl LineState for GoodmanState {
+    fn name(self) -> &'static str {
+        match self {
             GoodmanState::Invalid => "I",
             GoodmanState::Valid => "V",
             GoodmanState::Reserved => "R",
             GoodmanState::Dirty => "D",
-        })
+        }
     }
-}
 
-impl LineState for GoodmanState {
     fn invalid() -> Self {
         GoodmanState::Invalid
     }

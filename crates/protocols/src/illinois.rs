@@ -20,7 +20,6 @@ use mcs_model::{
     FlushPolicy, LineState, Privilege, ProcAction, Protocol, RmwMethod, SharingDetermination,
     SnoopOutcome, SnoopReply, SnoopSummary, SourcePolicy, StateDescriptor, WritePolicy,
 };
-use std::fmt;
 
 /// Cache-line states of the Illinois protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,18 +34,16 @@ pub enum IllinoisState {
     Dirty,
 }
 
-impl fmt::Display for IllinoisState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl LineState for IllinoisState {
+    fn name(self) -> &'static str {
+        match self {
             IllinoisState::Invalid => "I",
             IllinoisState::Shared => "S",
             IllinoisState::Exclusive => "E",
             IllinoisState::Dirty => "D",
-        })
+        }
     }
-}
 
-impl LineState for IllinoisState {
     fn invalid() -> Self {
         IllinoisState::Invalid
     }

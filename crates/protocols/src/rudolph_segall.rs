@@ -24,7 +24,6 @@ use mcs_model::{
     FlushPolicy, LineState, Privilege, ProcAction, Protocol, RmwMethod, SnoopOutcome, SnoopReply,
     SnoopSummary, SourcePolicy, StateDescriptor, UpdateTarget, WritePolicy,
 };
-use std::fmt;
 
 /// Cache-line states of the Rudolph-Segall scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -42,18 +41,16 @@ pub enum RudolphSegallState {
     Dirty,
 }
 
-impl fmt::Display for RudolphSegallState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl LineState for RudolphSegallState {
+    fn name(self) -> &'static str {
+        match self {
             RudolphSegallState::Invalid => "I",
             RudolphSegallState::Shared => "S",
             RudolphSegallState::WrittenOnce => "W1",
             RudolphSegallState::Dirty => "D",
-        })
+        }
     }
-}
 
-impl LineState for RudolphSegallState {
     fn invalid() -> Self {
         RudolphSegallState::Invalid
     }

@@ -22,7 +22,6 @@ use mcs_model::{
     FlushPolicy, LineState, Privilege, ProcAction, Protocol, RmwMethod, SnoopOutcome, SnoopReply,
     SnoopSummary, SourcePolicy, StateDescriptor, WritePolicy,
 };
-use std::fmt;
 
 /// Cache-line states of the Synapse protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -35,17 +34,15 @@ pub enum SynapseState {
     Dirty,
 }
 
-impl fmt::Display for SynapseState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl LineState for SynapseState {
+    fn name(self) -> &'static str {
+        match self {
             SynapseState::Invalid => "I",
             SynapseState::Valid => "V",
             SynapseState::Dirty => "D",
-        })
+        }
     }
-}
 
-impl LineState for SynapseState {
     fn invalid() -> Self {
         SynapseState::Invalid
     }

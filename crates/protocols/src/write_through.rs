@@ -13,7 +13,6 @@ use mcs_model::{
     LineState, Privilege, ProcAction, Protocol, SnoopOutcome, SnoopReply, SnoopSummary,
     StateDescriptor, UpdateTarget,
 };
-use std::fmt;
 
 /// Cache-line states of the classic write-through scheme.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -24,16 +23,14 @@ pub enum WriteThroughState {
     Valid,
 }
 
-impl fmt::Display for WriteThroughState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl LineState for WriteThroughState {
+    fn name(self) -> &'static str {
+        match self {
             WriteThroughState::Invalid => "I",
             WriteThroughState::Valid => "V",
-        })
+        }
     }
-}
 
-impl LineState for WriteThroughState {
     fn invalid() -> Self {
         WriteThroughState::Invalid
     }

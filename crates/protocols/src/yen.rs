@@ -12,7 +12,6 @@ use mcs_model::{
     FlushPolicy, LineState, Privilege, ProcAction, Protocol, SharingDetermination, SnoopOutcome,
     SnoopReply, SnoopSummary, SourcePolicy, StateDescriptor, WritePolicy,
 };
-use std::fmt;
 
 /// Cache-line states of the Yen-Yen-Fu protocol.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -28,18 +27,16 @@ pub enum YenState {
     Dirty,
 }
 
-impl fmt::Display for YenState {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
+impl LineState for YenState {
+    fn name(self) -> &'static str {
+        match self {
             YenState::Invalid => "I",
             YenState::Valid => "V",
             YenState::WriteClean => "WC",
             YenState::Dirty => "D",
-        })
+        }
     }
-}
 
-impl LineState for YenState {
     fn invalid() -> Self {
         YenState::Invalid
     }

@@ -31,7 +31,6 @@ pub struct SystemConfig {
     directory: Option<DirectoryDuality>,
     trace: bool,
     trace_capacity: Option<usize>,
-    oracle: bool,
     retry_bound: u32,
     engine: EngineMode,
     histograms: bool,
@@ -43,7 +42,8 @@ pub struct SystemConfig {
 
 impl SystemConfig {
     /// A system of `processors` processors with default cache geometry and
-    /// timing, the oracle enabled, and tracing disabled.
+    /// timing, and tracing disabled. The oracles run whenever the
+    /// `debug-checks` feature is compiled in.
     pub fn new(processors: usize) -> Self {
         SystemConfig {
             processors,
@@ -52,7 +52,6 @@ impl SystemConfig {
             directory: None,
             trace: false,
             trace_capacity: None,
-            oracle: true,
             retry_bound: 10_000,
             engine: EngineMode::default(),
             histograms: false,
@@ -85,15 +84,6 @@ impl SystemConfig {
     /// Enables or disables event tracing.
     pub fn with_trace(mut self, trace: bool) -> Self {
         self.trace = trace;
-        self
-    }
-
-    /// Enables or disables the coherence/lock oracles (on by default; turn
-    /// off only for very long benchmark runs). Only honored when the
-    /// `debug-checks` feature of `mcs-sim` is compiled in (the default);
-    /// without it the oracles are never constructed.
-    pub fn with_oracle(mut self, oracle: bool) -> Self {
-        self.oracle = oracle;
         self
     }
 
@@ -179,11 +169,6 @@ impl SystemConfig {
         self.trace
     }
 
-    /// Whether the oracles are enabled.
-    pub fn oracle(&self) -> bool {
-        self.oracle
-    }
-
     /// Livelock retry bound.
     pub fn retry_bound(&self) -> u32 {
         self.retry_bound
@@ -233,12 +218,10 @@ mod tests {
     fn builder_chain() {
         let c = SystemConfig::new(8)
             .with_trace(true)
-            .with_oracle(false)
             .with_retry_bound(5)
             .with_directory(DirectoryDuality::NonIdenticalDual);
         assert_eq!(c.processors(), 8);
         assert!(c.trace());
-        assert!(!c.oracle());
         assert_eq!(c.retry_bound(), 5);
         assert_eq!(c.directory(), Some(DirectoryDuality::NonIdenticalDual));
     }
@@ -247,7 +230,6 @@ mod tests {
     fn defaults() {
         let c = SystemConfig::new(2);
         assert!(!c.trace());
-        assert!(c.oracle());
         assert!(c.directory().is_none());
         assert_eq!(c.cache().capacity_blocks(), 64);
         assert_eq!(c.engine(), EngineMode::EventDriven);

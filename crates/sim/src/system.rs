@@ -394,9 +394,6 @@ pub struct System<P: Protocol> {
     /// Cached "anything listening at all" flag (trace, sinks, or sampler);
     /// lets [`System::emit`] return before even constructing the event.
     obs_enabled: bool,
-    /// Cached [`Trace::is_enabled`]`|| !sinks.is_empty()` for the
-    /// state-change render gate.
-    sink_or_trace: bool,
     /// Holder bitmasks are maintained (`processors <= 64`); independent of
     /// whether lookups actually use them, so exactness holds either way.
     track_holders: bool,
@@ -453,12 +450,8 @@ impl<P: Protocol> System<P> {
             directories: (0..n).map(|_| DirectoryModel::new(duality)).collect(),
             memory: MainMemory::new(geometry),
             // Without `debug-checks` the oracles are compiled-out cost:
-            // never constructed, even when the config asks for them.
-            oracle: if cfg!(feature = "debug-checks") {
-                config.oracle().then(Oracle::new)
-            } else {
-                None
-            },
+            // never constructed.
+            oracle: cfg!(feature = "debug-checks").then(Oracle::new),
             check_dual_sources,
             stats: Stats::new(n),
             trace: match (config.trace(), config.trace_capacity()) {
@@ -486,7 +479,6 @@ impl<P: Protocol> System<P> {
             bus_free_at: 0,
             rr: 0,
             obs_enabled: false,
-            sink_or_trace: false,
             track_holders,
             snoop_filter: config.snoop_filter() && track_holders,
             watch_mask: 0,
@@ -497,14 +489,14 @@ impl<P: Protocol> System<P> {
             watchdog: config.watchdog().map(|cfg| Watchdog::new(n, cfg)),
             protocol,
         };
-        sys.refresh_obs_flags();
+        sys.refresh_obs_flag();
         Ok(sys)
     }
 
-    /// Recomputes the cached observability flags after anything attaches.
-    fn refresh_obs_flags(&mut self) {
-        self.sink_or_trace = self.trace.is_enabled() || !self.sinks.is_empty();
-        self.obs_enabled = self.sink_or_trace || self.sampler.is_some();
+    /// Recomputes the cached observability flag after anything attaches.
+    fn refresh_obs_flag(&mut self) {
+        self.obs_enabled =
+            self.trace.is_enabled() || !self.sinks.is_empty() || self.sampler.is_some();
     }
 
     /// The protocol instance.
@@ -543,11 +535,6 @@ impl<P: Protocol> System<P> {
         }
     }
 
-    /// Per-cache directory models (Feature 3 analysis).
-    pub fn directory_stats(&self, cache: CacheId) -> &mcs_model::DirectoryStats {
-        self.directories[cache.0].stats()
-    }
-
     /// The event trace (empty unless tracing was enabled).
     pub fn trace(&self) -> &Trace {
         &self.trace
@@ -557,7 +544,7 @@ impl<P: Protocol> System<P> {
     /// to it (even when the in-memory trace is disabled).
     pub fn add_sink(&mut self, sink: Box<dyn EventSink>) {
         self.sinks.push(sink);
-        self.refresh_obs_flags();
+        self.refresh_obs_flag();
     }
 
     /// Flushes every attached sink. Call when done driving the system.
@@ -584,15 +571,24 @@ impl<P: Protocol> System<P> {
     /// reference and bus-busy integrals from the event stream itself, so
     /// they stay bit-identical across engine modes by construction.
     ///
-    /// The event is passed lazily: when nothing is listening (`obs_enabled`
-    /// is false — no trace, no sinks, no sampler) this returns before the
-    /// event is even constructed, so the benchmark configuration pays one
-    /// branch per emit site, not an allocation or a `format!`.
+    /// This is the one observability gate. Events are small `Copy` values
+    /// that own no heap memory, and the event is passed lazily: when nothing
+    /// is listening (`obs_enabled` is false — no trace, no sinks, no
+    /// sampler) this returns before the event is even constructed, so the
+    /// benchmark configuration pays one branch per emit site.
+    #[inline(always)]
     fn emit(&mut self, cycle: u64, event: impl FnOnce() -> Event) {
-        if !self.obs_enabled {
-            return;
+        if self.obs_enabled {
+            self.record(cycle, event());
         }
-        let event = event();
+    }
+
+    /// The body of [`System::emit`]. Kept out of line: `emit` is generic
+    /// over its closure, so an inlined body would be copied into each of
+    /// the 30-odd emit sites and crowd the hot transaction path (the
+    /// release benchmark binary is ~250 KB smaller this way).
+    #[inline(never)]
+    fn record(&mut self, cycle: u64, event: Event) {
         if let Some(s) = &mut self.sampler {
             match &event {
                 Event::ProcAccess { hit, .. } => s.add_ref(cycle, *hit),
@@ -1260,7 +1256,7 @@ impl<P: Protocol> System<P> {
         }
 
         if state != next {
-            self.push_state_change(CacheId(i), block, &state, &next, StateCause::ProcAccess);
+            self.push_state_change(CacheId(i), block, state, next, StateCause::ProcAccess);
         }
         self.caches[i].set_state(block, next);
         self.caches[i].touch(block);
@@ -1606,7 +1602,7 @@ impl<P: Protocol> System<P> {
                 self.directories[j].waiter_status_update();
             }
             if before != outcome.next {
-                self.push_state_change(CacheId(j), block, &before, &outcome.next, StateCause::Snoop);
+                self.push_state_change(CacheId(j), block, before, outcome.next, StateCause::Snoop);
             }
         }
 
@@ -1904,7 +1900,7 @@ impl<P: Protocol> System<P> {
         // Install the new state.
         if self.caches[req].is_resident(block) {
             if state != next {
-                self.push_state_change(CacheId(req), block, &state, &next, StateCause::Complete);
+                self.push_state_change(CacheId(req), block, state, next, StateCause::Complete);
             }
             self.caches[req].set_state(block, next);
             self.caches[req].touch(block);
@@ -2074,9 +2070,7 @@ impl<P: Protocol> System<P> {
         if d.is_locked() {
             self.memory_locks.insert(ev.tag, (CacheId(req), d.waiter));
             self.stats.locks.lock_spills += 1;
-            self.emit(self.now, || {
-                Event::Note(format!("C{req} spills lock bit for {} to memory", ev.tag))
-            });
+            self.emit(self.now, || Event::LockSpilled { cache: CacheId(req), block: ev.tag });
         }
         let action = self.protocol.evict(ev.state);
         let writeback = action == EvictAction::Writeback || d.is_locked();
@@ -2117,7 +2111,7 @@ impl<P: Protocol> System<P> {
                 self.stats.bus.invalidations += 1;
             }
             if before != outcome.next {
-                self.push_state_change(CacheId(j), block, &before, &outcome.next, StateCause::Snoop);
+                self.push_state_change(CacheId(j), block, before, outcome.next, StateCause::Snoop);
             }
         }
         self.memory.write_block(block, data);
@@ -2161,6 +2155,7 @@ impl<P: Protocol> System<P> {
                 self.memory.write_block(block, data);
                 self.caches[j].clear_unit_dirty(block);
                 self.stats.sources.flushes += 1;
+                self.emit(self.now, || Event::Flush { cache: CacheId(j), block });
             }
             summary.absorb(&outcome.reply);
             if outcome.reply.supplies_data {
@@ -2171,7 +2166,7 @@ impl<P: Protocol> System<P> {
                 self.stats.bus.invalidations += 1;
             }
             if before != outcome.next {
-                self.push_state_change(CacheId(j), block, &before, &outcome.next, StateCause::Snoop);
+                self.push_state_change(CacheId(j), block, before, outcome.next, StateCause::Snoop);
             }
         }
         let data = match supplier {
@@ -2244,21 +2239,17 @@ impl<P: Protocol> System<P> {
         &mut self,
         cache: CacheId,
         block: BlockAddr,
-        from: &P::State,
-        to: &P::State,
+        from: P::State,
+        to: P::State,
         cause: StateCause,
     ) {
-        // Gated so the `to_string` rendering cost is only paid when someone
-        // is listening (the sampler ignores state changes).
-        if self.sink_or_trace {
-            self.emit(self.now, || Event::StateChange {
-                cache,
-                block,
-                from: from.to_string(),
-                to: to.to_string(),
-                cause,
-            });
-        }
+        self.emit(self.now, || Event::StateChange {
+            cache,
+            block,
+            from: from.name(),
+            to: to.name(),
+            cause,
+        });
     }
 
     /// Asserts the holder bitmask for `block` exactly matches residency and

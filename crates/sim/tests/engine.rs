@@ -11,7 +11,6 @@ use mcs_model::{
     StateDescriptor, Word,
 };
 use mcs_sim::{System, SystemConfig};
-use std::fmt;
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 enum Msi {
@@ -20,13 +19,14 @@ enum Msi {
     M,
 }
 
-impl fmt::Display for Msi {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{self:?}")
-    }
-}
-
 impl LineState for Msi {
+    fn name(self) -> &'static str {
+        match self {
+            Msi::I => "I",
+            Msi::S => "S",
+            Msi::M => "M",
+        }
+    }
     fn invalid() -> Self {
         Msi::I
     }

@@ -10,7 +10,7 @@
 //!   invalidating all cache copies.
 
 use mcs::core::{with_protocol, BitarDespain, BitarState, ProtocolKind};
-use mcs::model::{Addr, BlockAddr, CacheId, ProcId, ProcOp, Word};
+use mcs::model::{Addr, BlockAddr, BusOp, CacheId, Event, ProcId, ProcOp, Word};
 use mcs::sim::{System, SystemConfig};
 
 #[test]
@@ -111,4 +111,49 @@ fn paging_roundtrip_page_out_then_in() {
     s.io_input(BlockAddr(0), &[Word(40), Word(41), Word(42), Word(43)]).unwrap();
     let (script, _) = s.run_script(vec![(ProcId(1), ProcOp::read(Addr(2)))], 100_000).unwrap();
     assert_eq!(script.results()[0].2.value, Some(Word(42)));
+}
+
+#[test]
+fn io_output_snoop_flushes_reach_the_event_stream() {
+    // Every counted flush is visible in the trace: a snoop `Flush` event, a
+    // `flush` bus transaction, or a write-back eviction.
+    let mut io_flushes = 0;
+    for kind in ProtocolKind::ALL {
+        let words = if kind.requires_word_blocks() { 1 } else { 4 };
+        for paging in [false, true] {
+            with_protocol!(kind, p => {
+                let cache = mcs::cache::CacheConfig::fully_associative(16, words).unwrap();
+                let cfg = SystemConfig::new(2).with_cache(cache).with_trace(true);
+                let mut s = System::new(p, cfg).unwrap();
+                s.run_script(
+                    vec![
+                        (ProcId(0), ProcOp::write(Addr(0), Word(5))),
+                        (ProcId(0), ProcOp::write(Addr(0), Word(6))),
+                    ],
+                    100_000,
+                )
+                .unwrap();
+                let before = s.trace().filter(|e| matches!(e, Event::Flush { .. })).count();
+                s.io_output(BlockAddr(0), paging).unwrap();
+                let events: Vec<Event> = s.trace().iter().map(|&(_, e)| e).collect();
+                let flush_events =
+                    events.iter().filter(|e| matches!(e, Event::Flush { .. })).count();
+                io_flushes += flush_events - before;
+                let flush_ops = events
+                    .iter()
+                    .filter(|e| matches!(e, Event::Bus { txn, .. } if txn.op == BusOp::Flush))
+                    .count();
+                let writebacks = events
+                    .iter()
+                    .filter(|e| matches!(e, Event::Eviction { writeback: true, .. }))
+                    .count();
+                assert_eq!(
+                    s.stats().sources.flushes,
+                    (flush_events + flush_ops + writebacks) as u64,
+                    "{kind} paging={paging}"
+                );
+            });
+        }
+    }
+    assert!(io_flushes > 0, "some protocol must flush on an I/O output snoop");
 }

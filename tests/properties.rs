@@ -83,12 +83,14 @@ fn runs_are_deterministic() {
 fn cache_structure_invariants() {
     #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
     struct Tiny(bool);
-    impl std::fmt::Display for Tiny {
-        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-            write!(f, "{}", if self.0 { "V" } else { "I" })
-        }
-    }
     impl LineState for Tiny {
+        fn name(self) -> &'static str {
+            if self.0 {
+                "V"
+            } else {
+                "I"
+            }
+        }
         fn invalid() -> Self {
             Tiny(false)
         }
@@ -209,7 +211,8 @@ fn proc_access_hits_require_privilege() {
                         if access.is_write() {
                             assert!(
                                 d.can_write(),
-                                "{kind}: write hit without write privilege from {state}"
+                                "{kind}: write hit without write privilege from {}",
+                                state.name()
                             );
                         }
                         // Writes dirty the line or keep a locked/dirty one.

@@ -236,9 +236,7 @@ fn states_reachable_in_simulation_for_every_protocol() {
             sys.run_workload(&mut w, 100_000).unwrap();
             for block in 0..8u64 {
                 for cache in 0..2 {
-                    seen.insert(
-                        sys.state_of(mcs::model::CacheId(cache), BlockAddr(block)).to_string(),
-                    );
+                    seen.insert(sys.state_of(mcs::model::CacheId(cache), BlockAddr(block)).name());
                 }
             }
             // At minimum, several distinct valid states must be visible at
